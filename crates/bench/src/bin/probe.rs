@@ -54,6 +54,11 @@
 //! whole concurrent serving path (epoch-swapped snapshots, antecedent
 //! index, wait-free reads) with the serving counters and p50/p99 query
 //! latencies printed at the end.
+//!
+//! The positionals default to `MUSHROOMS 0.5 test`. A dataset name that
+//! matches no stand-in, a minsup that is not a fraction in `[0, 1]`, an
+//! unknown scale, an unknown option or a malformed option value exits
+//! with status 2 and the usage line — never a silent default.
 
 use rulebases::checkpoint::CheckpointedMiner;
 use rulebases::{PipelineKind, RuleMiner, RuleReader, Window};
@@ -63,122 +68,178 @@ use rulebases_bench::{
 use rulebases_dataset::pool::fan_out;
 use rulebases_dataset::{EngineKind, MinSupport, MiningContext, TransactionDb};
 use rulebases_mining::{Apriori, Close, ClosedMiner};
+use std::fmt::Display;
+use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine: Option<EngineKind> = None;
-    let mut pipeline: Option<PipelineKind> = None;
-    let mut positional: Vec<&str> = Vec::new();
-    let mut with_frequent = false;
-    let mut stream = false;
-    let mut serve = false;
-    let mut readers = 2usize;
-    let mut batch = 64usize;
-    let mut stream_items = 16usize;
-    let mut window = 0usize;
-    let mut checkpoint_dir: Option<std::path::PathBuf> = None;
-    let mut crash_after: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--frequent" => {
-                with_frequent = true;
-                i += 1;
-            }
-            "--stream" => {
-                stream = true;
-                i += 1;
-            }
-            "--serve" => {
-                serve = true;
-                i += 1;
-            }
-            "--readers" => {
-                let value = args.get(i + 1).expect("--readers needs a value");
-                readers = value.parse().unwrap_or_else(|e| panic!("--readers: {e}"));
-                assert!(readers > 0, "--readers must be at least 1");
-                i += 2;
-            }
-            "--batch" => {
-                let value = args.get(i + 1).expect("--batch needs a value");
-                batch = value.parse().unwrap_or_else(|e| panic!("--batch: {e}"));
-                assert!(batch > 0, "--batch must be at least 1");
-                i += 2;
-            }
-            "--window" => {
-                let value = args.get(i + 1).expect("--window needs a value");
-                window = value.parse().unwrap_or_else(|e| panic!("--window: {e}"));
-                assert!(window > 0, "--window must be at least 1");
-                i += 2;
-            }
-            "--checkpoint-dir" => {
-                let value = args.get(i + 1).expect("--checkpoint-dir needs a value");
-                checkpoint_dir = Some(value.into());
-                i += 2;
-            }
-            "--crash-after" => {
-                let value = args.get(i + 1).expect("--crash-after needs a value");
-                crash_after = Some(
-                    value
-                        .parse()
-                        .unwrap_or_else(|e| panic!("--crash-after: {e}")),
-                );
-                i += 2;
-            }
-            "--stream-items" => {
-                let value = args.get(i + 1).expect("--stream-items needs a value");
-                stream_items = value
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--stream-items: {e}"));
-                assert!(stream_items > 0, "--stream-items must be at least 1");
-                i += 2;
-            }
-            "--engine" => {
-                let value = args.get(i + 1).expect("--engine needs a value");
-                engine = Some(value.parse().unwrap_or_else(|e| panic!("--engine: {e}")));
-                i += 2;
-            }
-            "--pipeline" => {
-                let value = args.get(i + 1).expect("--pipeline needs a value");
-                pipeline = Some(value.parse().unwrap_or_else(|e| panic!("--pipeline: {e}")));
-                i += 2;
-            }
-            other => {
-                positional.push(other);
-                i += 1;
-            }
+/// Printed, with exit status 2, under any malformed invocation.
+const USAGE: &str = "usage: probe [<dataset> [<minsup> [test|default|full]]] [--frequent] \
+[--engine auto|dense|tid-list|diffset|sharded:<k>:<inner>] [--pipeline staged|fused] \
+[--stream [--batch <n>] [--stream-items <n>] [--window <n>] \
+[--checkpoint-dir <d> [--crash-after <k>]]] [--serve [--readers <n>]]";
+
+/// The rows a probe mines: a paper stand-in, or the drifting census
+/// stream (`DRIFT`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Dataset {
+    StandIn(StandIn),
+    Drift,
+}
+
+/// A parsed command line; see the module docs for what each field does.
+#[derive(Debug, PartialEq)]
+struct Args {
+    dataset: Dataset,
+    minsup: f64,
+    scale: Scale,
+    with_frequent: bool,
+    engine: Option<EngineKind>,
+    pipeline: Option<PipelineKind>,
+    stream: bool,
+    serve: bool,
+    readers: usize,
+    batch: usize,
+    stream_items: usize,
+    window: usize,
+    checkpoint_dir: Option<PathBuf>,
+    crash_after: Option<usize>,
+}
+
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            dataset: Dataset::StandIn(StandIn::Mushrooms),
+            minsup: 0.5,
+            scale: Scale::Test,
+            with_frequent: false,
+            engine: None,
+            pipeline: None,
+            stream: false,
+            serve: false,
+            readers: 2,
+            batch: 64,
+            stream_items: 16,
+            window: 0,
+            checkpoint_dir: None,
+            crash_after: None,
         }
     }
-    let name = positional.first().copied().unwrap_or("MUSHROOMS");
-    let minsup: f64 = positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.5);
-    let scale = positional
-        .get(2)
-        .and_then(|s| Scale::parse(s))
-        .unwrap_or(Scale::Test);
+}
+
+/// Parses the command line (program name excluded). Every malformed
+/// piece is an error naming it.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut positional = Vec::new();
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        let mut value = || {
+            rest.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{arg} needs a value"))
+        };
+        match arg.as_str() {
+            "--frequent" => args.with_frequent = true,
+            "--stream" => args.stream = true,
+            "--serve" => args.serve = true,
+            "--readers" => args.readers = positive(arg, value()?)?,
+            "--batch" => args.batch = positive(arg, value()?)?,
+            "--window" => args.window = positive(arg, value()?)?,
+            "--stream-items" => args.stream_items = positive(arg, value()?)?,
+            "--checkpoint-dir" => args.checkpoint_dir = Some(value()?.into()),
+            "--crash-after" => args.crash_after = Some(parse_value(arg, value()?)?),
+            "--engine" => args.engine = Some(parse_value(arg, value()?)?),
+            "--pipeline" => args.pipeline = Some(parse_value(arg, value()?)?),
+            other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
+            other => positional.push(other),
+        }
+    }
+    let mut positional = positional.into_iter();
+    if let Some(name) = positional.next() {
+        args.dataset = parse_dataset(name)?;
+    }
+    if let Some(raw) = positional.next() {
+        args.minsup = match raw.parse::<f64>() {
+            Ok(minsup) if (0.0..=1.0).contains(&minsup) => minsup,
+            _ => return Err(format!("minsup {raw:?} is not a fraction in [0, 1]")),
+        };
+    }
+    if let Some(raw) = positional.next() {
+        args.scale = Scale::parse(raw).ok_or_else(|| format!("unknown scale {raw:?}"))?;
+    }
+    if let Some(extra) = positional.next() {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
+    Ok(args)
+}
+
+/// `DRIFT` (any case), or a non-empty prefix of a stand-in's name.
+fn parse_dataset(name: &str) -> Result<Dataset, String> {
+    if name.eq_ignore_ascii_case("DRIFT") {
+        return Ok(Dataset::Drift);
+    }
+    StandIn::ALL
+        .into_iter()
+        .find(|d| !name.is_empty() && d.name().starts_with(name))
+        .map(Dataset::StandIn)
+        .ok_or_else(|| format!("unknown dataset {name:?}"))
+}
+
+/// An option's value parsed as `T`, or an error naming the option.
+fn parse_value<T: FromStr>(flag: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    raw.parse().map_err(|e| format!("{flag} {raw:?}: {e}"))
+}
+
+/// An option's value parsed as a count of at least 1.
+fn positive(flag: &str, raw: &str) -> Result<usize, String> {
+    match parse_value(flag, raw)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        dataset,
+        minsup,
+        scale,
+        with_frequent,
+        engine,
+        pipeline,
+        stream,
+        serve,
+        readers,
+        batch,
+        stream_items,
+        window,
+        checkpoint_dir,
+        crash_after,
+    } = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("probe: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let engine = engine.unwrap_or_else(engine_from_env);
     let pipeline = pipeline.unwrap_or_else(pipeline_from_env);
 
     // `DRIFT` is the windowed-streaming workload (popularity rotates per
     // block); every other name resolves against the paper stand-ins.
-    let (label, db) = if name.eq_ignore_ascii_case("DRIFT") {
-        let n = match scale {
-            Scale::Test => 1_000,
-            Scale::Default => 10_000,
-            Scale::Full => 100_000,
-        };
-        ("DRIFT*", drifting_census(n, 8, (n / 4).max(1), 0xD21F7))
-    } else {
-        let dataset = StandIn::ALL
-            .into_iter()
-            .find(|d| d.name().starts_with(name))
-            .unwrap_or(StandIn::Mushrooms);
-        (dataset.name(), dataset.generate(scale))
+    let (label, db) = match dataset {
+        Dataset::Drift => {
+            let n = match scale {
+                Scale::Test => 1_000,
+                Scale::Default => 10_000,
+                Scale::Full => 100_000,
+            };
+            ("DRIFT*", drifting_census(n, 8, (n / 4).max(1), 0xD21F7))
+        }
+        Dataset::StandIn(d) => (d.name(), d.generate(scale)),
     };
     println!(
         "{label} |O|={} |I|={} minsup={minsup} engine={engine} pipeline={pipeline}",
@@ -447,5 +508,84 @@ fn main() {
             f.len(),
             start.elapsed().as_secs_f64() * 1e3
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn defaults_apply_only_to_absent_positionals() {
+        assert_eq!(parse(""), Ok(Args::default()));
+        let args = parse("T10I4D100K 0.01 test --engine sharded:2:auto --pipeline fused").unwrap();
+        assert_eq!(args.dataset, Dataset::StandIn(StandIn::T10I4));
+        assert_eq!(args.minsup, 0.01);
+        assert_eq!(args.scale, Scale::Test);
+        assert_eq!(args.engine, Some("sharded:2:auto".parse().unwrap()));
+        assert_eq!(args.pipeline, Some(PipelineKind::Fused));
+        // Prefixes pick a stand-in; DRIFT is matched in any case.
+        assert_eq!(
+            parse("C20").unwrap().dataset,
+            Dataset::StandIn(StandIn::C20D10K)
+        );
+        assert_eq!(parse("drift 0.3 full").unwrap().dataset, Dataset::Drift);
+        let args =
+            parse("DRIFT 0.3 test --stream --window 256 --batch 128 --crash-after 0").unwrap();
+        assert_eq!(
+            (args.window, args.batch, args.crash_after),
+            (256, 128, Some(0))
+        );
+    }
+
+    #[test]
+    fn bad_positionals_are_errors_not_defaults() {
+        for (line, error) in [
+            ("MUSHROOM5 0.5 test", "unknown dataset \"MUSHROOM5\""),
+            ("mushrooms", "unknown dataset \"mushrooms\""),
+            (
+                "MUSHROOMS 0,5",
+                "minsup \"0,5\" is not a fraction in [0, 1]",
+            ),
+            (
+                "MUSHROOMS 1.5",
+                "minsup \"1.5\" is not a fraction in [0, 1]",
+            ),
+            (
+                "MUSHROOMS NaN",
+                "minsup \"NaN\" is not a fraction in [0, 1]",
+            ),
+            ("MUSHROOMS 0.5 tset", "unknown scale \"tset\""),
+            ("MUSHROOMS 0.5 test extra", "unexpected argument \"extra\""),
+        ] {
+            assert_eq!(parse(line), Err(error.to_owned()), "{line}");
+        }
+    }
+
+    #[test]
+    fn bad_options_are_errors() {
+        assert_eq!(
+            parse("--strem"),
+            Err("unknown option \"--strem\"".to_owned())
+        );
+        assert_eq!(parse("--batch"), Err("--batch needs a value".to_owned()));
+        assert_eq!(
+            parse("--batch 0"),
+            Err("--batch must be at least 1".to_owned())
+        );
+        assert!(parse("--readers two")
+            .unwrap_err()
+            .starts_with("--readers \"two\": "));
+        assert!(parse("--engine sparse")
+            .unwrap_err()
+            .starts_with("--engine \"sparse\": "));
+        assert!(parse("--pipeline both")
+            .unwrap_err()
+            .starts_with("--pipeline \"both\": "));
     }
 }

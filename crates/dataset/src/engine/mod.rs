@@ -39,9 +39,11 @@
 //! On top of the serial backends, [`ShardedEngine`] partitions the
 //! object set row-wise into `K` shards, holds one inner backend per shard
 //! (any of the three, resolved per shard by that shard's density), and
-//! answers every query by fanning the shards across scoped threads:
-//! supports add, extents stitch at 64-aligned shard offsets, intents
-//! intersect. [`EngineKind::Sharded`] names such a configuration
+//! answers every query by combining per-shard answers: supports add,
+//! extents stitch at 64-aligned shard offsets, intents intersect. Point
+//! queries walk the shards on the calling thread; only the batch calls
+//! fan the shards across scoped threads (the miners parallelize whole
+//! candidate levels instead). [`EngineKind::Sharded`] names such a configuration
 //! (spelled `sharded:<k>:<inner>` in CLI/env contexts — [`EngineKind`]
 //! implements [`FromStr`]), and [`EngineKind::Auto`]
 //! promotes itself to a sharded engine above a row-count threshold when
@@ -142,10 +144,13 @@ pub trait SupportEngine: fmt::Debug + Send + Sync {
         None
     }
 
-    /// Whether the engine already parallelizes internally (the sharded
-    /// backend). Callers that would otherwise fan candidate chunks over
-    /// threads use this to avoid nesting thread pools. Wrappers must
-    /// delegate.
+    /// Whether the engine fans its batch calls
+    /// ([`SupportEngine::count_candidates`],
+    /// [`SupportEngine::item_supports`]) over row shards internally (the
+    /// sharded backend). Point queries never spawn on any engine, so a
+    /// level of them may be fanned over chunks whatever the backend;
+    /// only callers that would split one batch call into chunks use this
+    /// to avoid nesting thread pools. Wrappers must delegate.
     fn is_sharded(&self) -> bool {
         false
     }
@@ -264,8 +269,9 @@ pub enum EngineKind {
 /// `Auto` promotes itself to a sharded engine at or above this row count
 /// (when more than one thread is available): below it, fan-out overhead
 /// eats the parallel win. [`ShardedEngine`] uses the same floor to
-/// decide whether an `Auto`-policy engine actually spawns threads, so a
-/// relation big enough to auto-shard is always big enough to fan.
+/// decide whether an `Auto`-policy engine actually spawns threads for its
+/// batch calls, so a relation big enough to auto-shard is always big
+/// enough to fan them.
 pub const AUTO_SHARD_MIN_ROWS: usize = 1 << 14;
 
 /// `Auto` caps its shard count here — past one socket's worth of cores,
@@ -366,8 +372,9 @@ impl EngineKind {
     /// Builds the backend for a database under an explicit thread
     /// policy: the policy steers the `Auto` sharding promotion and is
     /// installed on a sharded engine (so `Off` yields genuinely
-    /// sequential engines and `Fixed(n)` caps the per-query fan-out at
-    /// `n` workers). Flat backends have no threads to configure.
+    /// sequential engines and `Fixed(n)` caps the fan-out of each batch
+    /// call at `n` workers; point queries always run inline). Flat
+    /// backends have no threads to configure.
     pub fn build_par(
         &self,
         db: &Arc<TransactionDb>,

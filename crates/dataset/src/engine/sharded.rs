@@ -6,8 +6,7 @@
 //! shard's own density when the inner kind is `Auto`, so a relation whose
 //! regions differ (a dense head, a sparse tail) gets the right
 //! representation piecewise. Every query of the `SupportEngine` surface
-//! is answered by fanning the shards out over scoped threads
-//! ([`pool::parallel_map`]) and combining the shard answers:
+//! is answered per shard and the shard answers combined:
 //!
 //! * **supports add** — `|g(X)| = Σ_s |g_s(X)|`, so [`support`] and the
 //!   batch [`count_candidates`] reduce to per-shard sums and never
@@ -28,17 +27,31 @@
 //!   over nothing), so [`closure_of_tidset`] distributes over shards
 //!   exactly.
 //!
-//! Fan-out is governed by a [`Parallelism`] knob: `Auto` (resolved once
-//! at construction) only spawns when the relation is large enough for
-//! per-thread work to dominate thread start-up, while an explicit
-//! `Fixed(n)` always fans with exactly `n` workers — shard indices are
-//! chunked over the worker budget, so eight shards under `Fixed(2)` run
-//! four-and-four on two threads (the equivalence suite uses `Fixed` to
-//! drive the threaded paths on tiny contexts). The
-//! degenerate 1-thread path walks the shards sequentially and is
-//! bit-for-bit equivalent — cross-checked against every serial backend by
-//! the dataset proptests and `tests/equivalence.rs`.
+//! **Thread model.** Point queries ([`cover`], [`tidset_of`],
+//! [`extend_tidset`], [`support`], [`closure_of_tidset`],
+//! [`closure_and_support`]) walk the shards on the calling thread: one
+//! query is microseconds of work, far below a thread start-up, and the
+//! miners already fan a whole level of them over chunks
+//! (`mining::counting::map_level`), so nothing spawns inside a fanned
+//! chunk. Only the batch calls — [`count_candidates`] and
+//! [`item_supports`], one whole level or universe per call — fan the
+//! shards out over scoped threads ([`pool::parallel_chunks`]), under a
+//! [`Parallelism`] knob: `Auto` (resolved once at construction) only
+//! spawns when the relation is large enough for per-thread work to
+//! dominate thread start-up, while an explicit `Fixed(n)` always fans
+//! with exactly `n` workers — shard indices are chunked over the worker
+//! budget, so eight shards under `Fixed(2)` run four-and-four on two
+//! threads (the equivalence suite uses `Fixed` to drive the threaded
+//! paths on tiny contexts). The degenerate 1-thread path walks the
+//! shards sequentially and is bit-for-bit equivalent — cross-checked
+//! against every serial backend by the dataset proptests and
+//! `tests/equivalence.rs`.
 //!
+//! [`cover`]: SupportEngine::cover
+//! [`tidset_of`]: SupportEngine::tidset_of
+//! [`extend_tidset`]: SupportEngine::extend_tidset
+//! [`closure_and_support`]: SupportEngine::closure_and_support
+//! [`item_supports`]: SupportEngine::item_supports
 //! [`support`]: SupportEngine::support
 //! [`count_candidates`]: SupportEngine::count_candidates
 //! [`closure_of_tidset`]: SupportEngine::closure_of_tidset
@@ -64,8 +77,8 @@ use std::sync::Arc;
 pub const SHARD_SPILL_BUDGET: usize = 64;
 
 /// A [`SupportEngine`] over `K` row shards, each served by its own inner
-/// backend, with queries fanned across shards and stitched back together
-/// (see the module docs for the stitching algebra).
+/// backend, with shard answers stitched back together (see the module
+/// docs for the stitching algebra and the thread model).
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Vec<Arc<dyn SupportEngine>>,
@@ -79,7 +92,7 @@ pub struct ShardedEngine {
     n_items: usize,
     parallelism: Parallelism,
     /// `Parallelism::Auto`'s thread count, resolved once at construction
-    /// (env + machine lookups have no business on the per-query path).
+    /// (env + machine lookups have no business on the per-call path).
     auto_threads: usize,
     /// The configured inner kind — kept so an append can re-resolve the
     /// tail shard's backend (`Auto` picks per density) and build spilled
@@ -143,8 +156,8 @@ impl ShardedEngine {
         }
     }
 
-    /// Sets the fan-out policy (default [`Parallelism::Auto`], whose
-    /// thread count is resolved once at engine construction).
+    /// Sets the batch-call fan-out policy (default [`Parallelism::Auto`],
+    /// whose thread count is resolved once at engine construction).
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -161,11 +174,13 @@ impl ShardedEngine {
         self.shards.iter().map(|s| s.name()).collect()
     }
 
-    /// How many worker threads a query may use. `Fixed(n)` pins exactly
+    /// How many worker threads a batch call ([`SupportEngine::count_candidates`],
+    /// [`SupportEngine::item_supports`]) may use. `Fixed(n)` pins exactly
     /// `n`; `Auto` uses the construction-time thread count, but only
     /// when the relation is big enough ([`AUTO_SHARD_MIN_ROWS`]) for
     /// per-thread work to dominate thread start-up — so an auto-sharded
-    /// engine (which shards at the same floor) always fans.
+    /// engine (which shards at the same floor) always fans its batches.
+    /// Point queries never consult this: they run inline.
     fn fan_threads(&self) -> usize {
         if self.shards.len() <= 1 {
             return 1;
@@ -183,9 +198,10 @@ impl ShardedEngine {
         }
     }
 
-    /// Runs `f` once per shard index — shard indices chunked over at
-    /// most [`ShardedEngine::fan_threads`] scoped threads, or an inline
-    /// walk when the budget is one — returning results in shard order.
+    /// Runs a batch call's `f` once per shard index — shard indices
+    /// chunked over at most [`ShardedEngine::fan_threads`] scoped
+    /// threads, or an inline walk when the budget is one — returning
+    /// results in shard order.
     fn fan<R: Send>(&self, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
         let threads = self.fan_threads();
         if threads <= 1 {
@@ -202,11 +218,12 @@ impl ShardedEngine {
         tidset.extract_block(self.offsets[s], self.offsets[s + 1] - self.offsets[s])
     }
 
-    /// Writes per-shard local tidsets back at their shard offsets.
-    fn stitch(&self, locals: &[BitSet]) -> BitSet {
+    /// Writes per-shard local tidsets, in shard order, back at their
+    /// shard offsets.
+    fn stitch(&self, locals: impl Iterator<Item = BitSet>) -> BitSet {
         let mut global = BitSet::new(self.n_objects);
-        for (s, local) in locals.iter().enumerate() {
-            global.splice_block(self.offsets[s], local);
+        for (s, local) in locals.enumerate() {
+            global.splice_block(self.offsets[s], &local);
         }
         global
     }
@@ -270,8 +287,7 @@ impl ShardedEngine {
     /// Intersects per-shard intents into the global intent; an empty
     /// shard list (impossible by construction, but cheap to honour)
     /// yields the universe, the intent over no objects.
-    fn meet_intents(&self, intents: Vec<Itemset>) -> Itemset {
-        let mut intents = intents.into_iter();
+    fn meet_intents(&self, mut intents: impl Iterator<Item = Itemset>) -> Itemset {
         let Some(first) = intents.next() else {
             return Itemset::universe(self.n_items);
         };
@@ -487,23 +503,28 @@ impl SupportEngine for ShardedEngine {
         self.n_items
     }
 
+    // Point queries walk the shards on the calling thread (see the
+    // module docs' thread model); only the batch calls below fan.
+
     fn cover(&self, item: Item) -> BitSet {
-        let locals = self.fan(|s| self.shards[s].cover(item));
-        self.stitch(&locals)
+        self.stitch(self.shards.iter().map(|shard| shard.cover(item)))
     }
 
     fn tidset_of(&self, itemset: &Itemset) -> BitSet {
-        let locals = self.fan(|s| self.shards[s].tidset_of(itemset));
-        self.stitch(&locals)
+        self.stitch(self.shards.iter().map(|shard| shard.tidset_of(itemset)))
     }
 
     fn extend_tidset(&self, tidset: &BitSet, item: Item) -> BitSet {
-        let locals = self.fan(|s| self.shards[s].extend_tidset(&self.local(tidset, s), item));
-        self.stitch(&locals)
+        let locals = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(s, shard)| shard.extend_tidset(&self.local(tidset, s), item));
+        self.stitch(locals)
     }
 
     fn support(&self, itemset: &Itemset) -> Support {
-        self.fan(|s| self.shards[s].support(itemset)).iter().sum()
+        self.shards.iter().map(|shard| shard.support(itemset)).sum()
     }
 
     fn item_supports(&self) -> Vec<Support> {
@@ -517,7 +538,11 @@ impl SupportEngine for ShardedEngine {
     }
 
     fn closure_of_tidset(&self, tidset: &BitSet) -> Itemset {
-        let intents = self.fan(|s| self.shards[s].closure_of_tidset(&self.local(tidset, s)));
+        let intents = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(s, shard)| shard.closure_of_tidset(&self.local(tidset, s)));
         self.meet_intents(intents)
     }
 
@@ -526,11 +551,15 @@ impl SupportEngine for ShardedEngine {
     }
 
     fn closure_and_support(&self, itemset: &Itemset) -> (Itemset, Support) {
-        // One fan-out computes intent and support per shard, through the
+        // One walk computes intent and support per shard, through the
         // shard's own closure path (and shard cache, when present).
-        let per_shard = self.fan(|s| self.shards[s].closure_and_support(itemset));
+        let per_shard: Vec<(Itemset, Support)> = self
+            .shards
+            .iter()
+            .map(|shard| shard.closure_and_support(itemset))
+            .collect();
         let support = per_shard.iter().map(|(_, s)| s).sum();
-        let intents = per_shard.into_iter().map(|(intent, _)| intent).collect();
+        let intents = per_shard.into_iter().map(|(intent, _)| intent);
         (self.meet_intents(intents), support)
     }
 
@@ -538,7 +567,7 @@ impl SupportEngine for ShardedEngine {
         if candidates.is_empty() {
             return Vec::new();
         }
-        // One fan-out per level: each shard batch-counts every candidate
+        // One fan-out per batch: each shard batch-counts every candidate
         // through its inner backend's own count_candidates, and the
         // shard partial counts sum columnwise.
         let mut totals = vec![0; candidates.len()];

@@ -1,25 +1,31 @@
 //! Shared scoped-thread fan-out and the [`Parallelism`] configuration.
 //!
 //! Every parallel construction in the workspace goes through this one
-//! module: the [`ShardedEngine`] fans support/closure queries across its
-//! row shards, the levelwise miners count candidate chunks concurrently,
-//! and the bench crate runs independent experiment cells side by side
-//! (it re-exports this module as `rulebases_bench::parallel`). Keeping a
-//! single implementation means one place to reason about panics, one
-//! ordering guarantee (results always come back in input order), and one
-//! knob — [`Parallelism`] — that callers thread through instead of each
+//! module: the levelwise miners fan each wide candidate level over
+//! chunks, the [`ShardedEngine`] fans its batch calls (candidate
+//! counting, item supports) across its row shards, and the bench crate
+//! runs independent experiment cells side by side (it re-exports this
+//! module as `rulebases_bench::parallel`). Point queries never spawn —
+//! the sharded engine walks its shards on the calling thread — so a
+//! fanned level holds exactly its chunk threads and nothing nests.
+//! Keeping a single implementation means one place to reason about
+//! panics, one ordering guarantee (results always come back in input
+//! order), one spawn tally ([`threads_spawned`]), and one knob —
+//! [`Parallelism`] — that callers thread through instead of each
 //! inventing its own thread policy.
 //!
 //! The primitives are deliberately simple `std::thread::scope` fan-outs:
-//! the workloads here are CPU-bound and coarse-grained (a shard, a chunk
-//! of a candidate level, an experiment cell), so a work-stealing pool
-//! would buy nothing over scoped threads while costing a dependency the
-//! offline build environment cannot fetch.
+//! the workloads here are CPU-bound and coarse-grained (a chunk of a
+//! candidate level, a shard's batch count, an experiment cell), so a
+//! work-stealing pool would buy nothing over scoped threads while
+//! costing a dependency the offline build environment cannot fetch.
 //!
 //! [`ShardedEngine`]: crate::engine::ShardedEngine
 
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Environment variable overriding [`Parallelism::Auto`]'s thread count
 /// (CI runs the suite with `RULEBASES_THREADS=1` and `=4` so the
@@ -123,6 +129,27 @@ fn env_threads() -> Option<usize> {
     }
 }
 
+/// Scoped threads spawned by this module since the process started.
+static SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// How many scoped threads [`parallel_map`], [`parallel_chunks`] and
+/// [`fan_out`] have spawned in this process so far — a regression pin on
+/// the thread model: read it before and after a call to count that
+/// call's spawns (only meaningful when nothing else spawns meanwhile).
+pub fn threads_spawned() -> u64 {
+    SPAWNED.load(Ordering::Relaxed)
+}
+
+/// Spawns `f` on `scope`, tallying the spawn in [`threads_spawned`].
+fn spawn<'scope, T, F>(scope: &'scope Scope<'scope, '_>, f: F) -> ScopedJoinHandle<'scope, T>
+where
+    T: Send + 'scope,
+    F: FnOnce() -> T + Send + 'scope,
+{
+    SPAWNED.fetch_add(1, Ordering::Relaxed);
+    scope.spawn(f)
+}
+
 /// Maps `f` over `items` with one scoped thread per item; results come
 /// back in input order.
 ///
@@ -143,7 +170,7 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .into_iter()
-            .map(|item| scope.spawn(|| f(item)))
+            .map(|item| spawn(scope, || f(item)))
             .collect();
         handles
             .into_iter()
@@ -183,7 +210,7 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
-            .map(|chunk| scope.spawn(|| f(chunk)))
+            .map(|chunk| spawn(scope, || f(chunk)))
             .collect();
         let mut out = Vec::with_capacity(items.len());
         for handle in handles {
@@ -215,7 +242,7 @@ where
     }
     std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = (0..workers).map(|i| scope.spawn(move || f(i))).collect();
+        let handles: Vec<_> = (0..workers).map(|i| spawn(scope, move || f(i))).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("parallel worker panicked"))
@@ -294,6 +321,17 @@ mod tests {
             }
             i
         });
+    }
+
+    #[test]
+    fn spawns_are_tallied() {
+        // Other tests in this binary may spawn concurrently, so only a
+        // lower bound is observable here (the tally never goes down).
+        let before = threads_spawned();
+        let _ = parallel_map(vec![1, 2], |x| x);
+        let _ = parallel_chunks(&[1, 2, 3, 4], 2, |chunk| chunk.to_vec());
+        let _ = fan_out(3, |i| i);
+        assert!(threads_spawned() - before >= 7);
     }
 
     #[test]

@@ -83,12 +83,12 @@ impl AClose {
         // Phase 2: close every generator. One extra conceptual pass;
         // closures are independent, so wide generator sets fan over
         // chunks (results stay in generator order — emission stays
-        // deterministic). A sharded engine fans each closure internally,
-        // so the phase stays sequential rather than nest thread pools.
+        // deterministic), on every engine: closures run on the calling
+        // thread, so the phase spawns once per chunk.
         stats.db_passes += 1;
         let close_one = |(g, support): &(&Itemset, Support)| (engine.closure(g), *support);
         let gens: Vec<(&Itemset, Support)> = generators.iter().collect();
-        let pairs: Vec<(Itemset, Support)> = map_level(engine, self.parallelism, &gens, close_one);
+        let pairs: Vec<(Itemset, Support)> = map_level(self.parallelism, &gens, close_one);
         for ((generator, _), (closure, support)) in gens.iter().zip(&pairs) {
             sink.accept(closure, *support, Some(generator));
         }
@@ -161,19 +161,31 @@ mod tests {
 
     #[test]
     fn forced_parallelism_matches_sequential() {
+        // The closure phase fanned over a sharded engine must match the
+        // sequential mine too.
+        use rulebases_dataset::EngineKind;
         let rows: Vec<Vec<u32>> = (0..80u32)
             .map(|t| vec![t % 4, 4 + t % 3, 7 + (t / 2) % 4])
             .collect();
-        let ctx = MiningContext::new(rulebases_dataset::TransactionDb::from_rows(rows));
+        let db = rulebases_dataset::TransactionDb::from_rows(rows);
+        let sharded = EngineKind::Sharded {
+            shards: 3,
+            inner: Box::new(EngineKind::Auto),
+        };
+        let flat_ctx = MiningContext::new(db.clone());
         let sequential = AClose::new()
             .parallelism(Parallelism::Off)
-            .mine(&ctx, MinSupport::Count(2));
-        let parallel = AClose::new()
-            .parallelism(Parallelism::Fixed(3))
-            .mine(&ctx, MinSupport::Count(2));
-        assert_eq!(
-            parallel.into_sorted_vec(),
-            sequential.clone().into_sorted_vec(),
-        );
+            .mine(&flat_ctx, MinSupport::Count(2));
+        for ctx in [flat_ctx, MiningContext::with_engine(db, sharded)] {
+            let parallel = AClose::new()
+                .parallelism(Parallelism::Fixed(3))
+                .mine(&ctx, MinSupport::Count(2));
+            assert_eq!(
+                parallel.into_sorted_vec(),
+                sequential.clone().into_sorted_vec(),
+                "{}",
+                ctx.resolved_kind()
+            );
+        }
     }
 }

@@ -130,18 +130,19 @@ impl Close {
             stats.db_passes += 1;
             stats.candidates_counted += candidates.len();
             // Each candidate is independent (extent → support filter →
-            // closure), so wide levels fan over candidate chunks; the
-            // merge below runs sequentially in candidate order, keeping
-            // the output deterministic whatever the thread policy. A
-            // sharded engine already fans each query internally, so the
-            // level stays sequential rather than nest thread pools.
+            // closure), so wide levels fan over candidate chunks on every
+            // engine: the point queries below run on the calling thread
+            // (a sharded engine walks its shards inline), so the level
+            // spawns once per chunk. The merge below runs sequentially in
+            // candidate order, keeping the output deterministic whatever
+            // the thread policy.
             let evaluate = |candidate: &Itemset| {
                 let extent = engine.tidset_of(candidate);
                 let support = extent.count() as Support;
                 (support >= min_count).then(|| (engine.closure_of_tidset(&extent), support))
             };
             let evaluated: Vec<Option<(Itemset, Support)>> =
-                map_level(engine, self.parallelism, &candidates, evaluate);
+                map_level(self.parallelism, &candidates, evaluate);
             let mut next_generators = Vec::with_capacity(candidates.len());
             let mut next_closures = HashMap::with_capacity(candidates.len());
             for (candidate, result) in candidates.into_iter().zip(evaluated) {
@@ -261,23 +262,32 @@ mod tests {
     fn forced_parallelism_matches_sequential() {
         // Wide enough for multiple chunks under Fixed(3); the engine
         // backend and the thread policy must not change a single closed
-        // set or support.
+        // set or support — levels fanned over a sharded engine included.
+        use rulebases_dataset::EngineKind;
         let rows: Vec<Vec<u32>> = (0..90u32)
             .map(|t| vec![t % 4, 4 + t % 3, 7 + (t / 2) % 5])
             .collect();
-        let ctx = MiningContext::new(rulebases_dataset::TransactionDb::from_rows(rows));
+        let db = rulebases_dataset::TransactionDb::from_rows(rows);
+        let sharded = EngineKind::Sharded {
+            shards: 3,
+            inner: Box::new(EngineKind::Auto),
+        };
+        let flat_ctx = MiningContext::new(db.clone());
         let sequential = Close::new()
             .parallelism(Parallelism::Off)
-            .mine(&ctx, MinSupport::Count(2));
-        for threads in [2, 3, 8] {
-            let parallel = Close::new()
-                .parallelism(Parallelism::Fixed(threads))
-                .mine(&ctx, MinSupport::Count(2));
-            assert_eq!(
-                parallel.clone().into_sorted_vec(),
-                sequential.clone().into_sorted_vec(),
-                "threads={threads}"
-            );
+            .mine(&flat_ctx, MinSupport::Count(2));
+        for ctx in [flat_ctx, MiningContext::with_engine(db, sharded)] {
+            for threads in [2, 3, 8] {
+                let parallel = Close::new()
+                    .parallelism(Parallelism::Fixed(threads))
+                    .mine(&ctx, MinSupport::Count(2));
+                assert_eq!(
+                    parallel.clone().into_sorted_vec(),
+                    sequential.clone().into_sorted_vec(),
+                    "{} threads={threads}",
+                    ctx.resolved_kind()
+                );
+            }
         }
     }
 

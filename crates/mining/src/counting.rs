@@ -17,9 +17,9 @@
 //!   candidate chunks fanned across scoped threads
 //!   ([`parallel_chunks`]): each worker batch-counts a contiguous slice
 //!   of the level, and the per-chunk counts concatenate back in
-//!   candidate order. When the engine is already sharded it fans
-//!   internally, so this strategy steps aside rather than nest thread
-//!   pools.
+//!   candidate order. A sharded engine already fans each batch call
+//!   over its shards, so this strategy steps aside rather than nest
+//!   thread pools.
 //! * [`CountingStrategy::Auto`] picks per level based on transaction
 //!   length, `k`, the level width, and the configured [`Parallelism`].
 //!
@@ -29,7 +29,7 @@
 
 use crate::hash_tree::HashTree;
 use rulebases_dataset::pool::parallel_chunks;
-use rulebases_dataset::{Item, Itemset, MiningContext, Parallelism, Support, SupportEngine};
+use rulebases_dataset::{Item, Itemset, MiningContext, Parallelism, Support};
 use std::collections::HashMap;
 
 /// Minimum candidates in a level before a parallel path fans out — under
@@ -113,25 +113,22 @@ fn count_vertical(ctx: &MiningContext, candidates: &[Itemset]) -> Vec<Support> {
 }
 
 /// Maps `f` over one candidate level (or generator set), fanning chunks
-/// across threads when the policy grants more than one, the level is at
-/// least [`PARALLEL_MIN_CANDIDATES`] wide, and the engine does not
-/// already parallelize internally (thread pools never nest). Results
-/// come back in input order, so the sequential and fanned paths are
-/// interchangeable — this one guard is shared by Close's per-level
-/// extent/closure evaluation and A-Close's closure phase.
-pub fn map_level<T, R, F>(
-    engine: &dyn SupportEngine,
-    parallelism: Parallelism,
-    items: &[T],
-    f: F,
-) -> Vec<R>
+/// across threads when the policy grants more than one and the level is
+/// at least [`PARALLEL_MIN_CANDIDATES`] wide — whatever the engine: the
+/// point queries `f` makes run on the calling thread on every backend
+/// (the sharded one included), so a fanned level spawns once and nothing
+/// spawns inside a chunk. Results come back in input order, so the
+/// sequential and fanned paths are interchangeable — this one guard is
+/// shared by Close's per-level extent/closure evaluation and A-Close's
+/// closure phase.
+pub fn map_level<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     let threads = parallelism.threads();
-    if threads > 1 && items.len() >= PARALLEL_MIN_CANDIDATES && !engine.is_sharded() {
+    if threads > 1 && items.len() >= PARALLEL_MIN_CANDIDATES {
         parallel_chunks(items, threads, |chunk| chunk.iter().map(&f).collect())
     } else {
         items.iter().map(&f).collect()

@@ -242,7 +242,11 @@ impl ClosedItemsets {
             let (s, sup) = &self.sets[i];
             return Some((s, *sup));
         }
-        self.sets
+        // Sets smaller than `itemset` cannot contain it: start the scan
+        // past them (on sparse data they are most of FC — the frequent
+        // singletons).
+        let first = self.sets.partition_point(|(s, _)| s.len() < itemset.len());
+        self.sets[first..]
             .iter()
             .find(|(s, _)| itemset.is_subset_of(s))
             .map(|(s, sup)| (s, *sup))

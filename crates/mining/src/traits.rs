@@ -60,8 +60,8 @@ impl ClosedAlgorithm {
 
     /// Runs the selected algorithm against any [`SupportEngine`] backend
     /// under an explicit thread policy. CHARM's IT-tree search is
-    /// inherently sequential and ignores the policy (a sharded engine
-    /// still parallelizes its queries internally).
+    /// inherently sequential and ignores the policy (its point queries run
+    /// on the calling thread on every engine, the sharded one included).
     pub fn mine_engine_par(
         self,
         engine: &dyn SupportEngine,
