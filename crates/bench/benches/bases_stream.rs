@@ -20,9 +20,8 @@
 //! gallop-vs-merge intersection), so one entry records both the
 //! streaming tallies and the kernel state of the same commit.
 //!
-//! Read the timing numbers the way the `counting-sharded` bench reads its
-//! thread ablation on a 1-CPU box: at this toy scale the whole context is
-//! cache-resident and mining it is almost free, so the wall clock can
+//! Read the timing numbers with care: at this toy scale the whole context
+//! is cache-resident and mining it is almost free, so the wall clock can
 //! favor re-mining — the engine-call and byte tallies are the numbers
 //! that scale, because every avoided call or copy is an avoided pass over
 //! data that in a real deployment no longer fits where it is cheap.

@@ -1,27 +1,22 @@
 //! E8 ablation as a Criterion benchmark: support counting across the
 //! transaction-driven strategies (subset hashing, hash tree) and the
-//! three `SupportEngine` vertical backends (dense bitsets, tid-lists,
-//! diffsets) on sparse and dense level-2 candidate sets — plus the
-//! shard-count ablation of the parallel `ShardedEngine` and the
-//! kernel-level ablation of the wide-kernel layer itself.
+//! two `SupportEngine` vertical backends (dense bitsets, tid-lists) on
+//! sparse and dense level-2 candidate sets — plus the kernel-level
+//! ablation of the wide-kernel layer itself.
 //!
 //! The backend comparison is a one-line swap: every engine row calls the
 //! same batch `count_candidates` API with a different [`EngineKind`].
-//! The sharding ablation (`sharded-1/2/4/8` vs `dense-serial`) runs on a
-//! census-like stand-in large enough that per-thread work dominates
-//! thread start-up; each `sharded-k` row pins `k` worker threads, so the
-//! speedup over the serial dense row is measured, not asserted.
 //!
 //! The kernel ablation (`counting-kernels` group) pits each wide kernel
 //! against its retained scalar oracle — chunked Harley–Seal popcount vs
 //! word-at-a-time `count_ones`, galloping intersection vs the two-pointer
-//! merge, branch-light union count vs the branchy one — on the 128k-row
-//! census stand-in's densest covers and a ≥16:1 skewed list pair. The
-//! headline speedups are **asserted** (conservatively, well under the
-//! expected release-opt margins, so a scheduler hiccup cannot flake the
-//! bench while a kernel silently degrading to scalar parity still
-//! fails), written to `BENCH_counting.json` as the gate baseline, and
-//! appended to `BENCH_history.jsonl`.
+//! merge — on the 128k-row census stand-in's densest covers and a ≥16:1
+//! skewed list pair. The headline speedups are **asserted**
+//! (conservatively, well under the expected release-opt margins, so a
+//! scheduler hiccup cannot flake the bench while a kernel silently
+//! degrading to scalar parity still fails), written to
+//! `BENCH_counting.json` as the gate baseline, and appended to
+//! `BENCH_history.jsonl`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rulebases_bench::{append_bench_history, run_kernel_probes, Scale, StandIn};
@@ -29,8 +24,7 @@ use rulebases_bench::{write_bench_artifact, KernelProbe};
 use rulebases_dataset::generator::census_like;
 use rulebases_dataset::kernels::{self, scalar};
 use rulebases_dataset::{
-    EngineKind, Item, Itemset, MinSupport, MiningContext, Parallelism, ShardedEngine,
-    SupportEngine, TransactionDb, VerticalDb,
+    EngineKind, Item, Itemset, MinSupport, MiningContext, TransactionDb, VerticalDb,
 };
 use rulebases_mining::candidates::join_and_prune;
 use rulebases_mining::counting::{count_candidates, CountingStrategy};
@@ -39,15 +33,14 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Rows in the census-like shard-ablation stand-in: big enough (128k)
-/// that a level-2 batch count is millisecond-scale serial work, so
-/// per-thread work dominates the ~10–20 µs thread start-up of a fan-out.
-const SHARD_ABLATION_ROWS: usize = 1 << 17;
+/// Rows in the census-like kernel and backend stand-in: big enough
+/// (128k) that one cover spans 2048 words and a level-2 batch count is
+/// millisecond-scale work.
+const CENSUS_ROWS: usize = 1 << 17;
 
-/// Support threshold for the ablation's candidate level — lower than the
-/// C20D10K table sweep so the level is wide (hundreds of candidates) and
-/// each shard chunk carries real work.
-const SHARD_ABLATION_MINSUP: f64 = 0.30;
+/// Support threshold for the census candidate level — lower than the
+/// C20D10K table sweep so the level is wide (hundreds of candidates).
+const CENSUS_MINSUP: f64 = 0.30;
 
 /// Builds the level-2 candidate set of a dataset at its default minsup.
 fn level2_candidates(ctx: &MiningContext, minsup: f64) -> Vec<Itemset> {
@@ -102,36 +95,6 @@ fn bench_counting(c: &mut Criterion) {
     group.finish();
 }
 
-/// Shard-count ablation: the same census-like level-2 candidate batch
-/// counted by the serial dense backend and by `ShardedEngine` with
-/// `k ∈ {1, 2, 4, 8}` dense shards and `k` pinned worker threads.
-fn bench_shard_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("counting-sharded");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3))
-        .warm_up_time(Duration::from_millis(500));
-
-    let db: Arc<TransactionDb> = Arc::new(census_like(SHARD_ABLATION_ROWS, 20, 0xC20));
-    let ctx = MiningContext::with_engine_arc(Arc::clone(&db), EngineKind::Dense);
-    let candidates = level2_candidates(&ctx, SHARD_ABLATION_MINSUP);
-    let id =
-        |label: &str| BenchmarkId::new(label.to_owned(), format!("census x{}", candidates.len()));
-
-    let dense = EngineKind::Dense.build(&db);
-    group.bench_function(id("dense-serial"), |b| {
-        b.iter(|| black_box(dense.count_candidates(&candidates)))
-    });
-    for k in [1usize, 2, 4, 8] {
-        let sharded = ShardedEngine::from_horizontal(&db, k, &EngineKind::Dense)
-            .parallelism(Parallelism::Fixed(k));
-        group.bench_function(id(&format!("sharded-{k}")), |b| {
-            b.iter(|| black_box(sharded.count_candidates(&candidates)))
-        });
-    }
-    group.finish();
-}
-
 /// One backend's census-scale batch count in the `BENCH_counting.json`
 /// artifact (rows follow `EngineKind::BACKENDS` order: dense first).
 #[derive(Serialize)]
@@ -162,7 +125,7 @@ fn bench_kernel_ablation(c: &mut Criterion) {
     // Operands: the two densest covers of the 128k-row census stand-in
     // (2048 words each) and a sorted pair skewed 8× past the gallop
     // ratio — the rare-item-meets-frequent-item shape.
-    let db: Arc<TransactionDb> = Arc::new(census_like(SHARD_ABLATION_ROWS, 20, 0xC20));
+    let db: Arc<TransactionDb> = Arc::new(census_like(CENSUS_ROWS, 20, 0xC20));
     let vertical = VerticalDb::from_horizontal(&db);
     let mut by_count: Vec<u32> = (0..vertical.n_items() as u32).collect();
     by_count.sort_by_key(|&i| std::cmp::Reverse(vertical.cover(Item::new(i)).count()));
@@ -195,22 +158,6 @@ fn bench_kernel_ablation(c: &mut Criterion) {
             ))
         })
     });
-    group.bench_function(BenchmarkId::new("union-count", "scalar"), |b| {
-        b.iter(|| {
-            black_box(scalar::union_count_sorted(
-                black_box(&short),
-                black_box(&long),
-            ))
-        })
-    });
-    group.bench_function(BenchmarkId::new("union-count", "branch-light"), |b| {
-        b.iter(|| {
-            black_box(kernels::union_count_sorted(
-                black_box(&short),
-                black_box(&long),
-            ))
-        })
-    });
     group.finish();
 
     // Recorded headline numbers: the shared probes (also stamped into
@@ -224,7 +171,7 @@ fn bench_kernel_ablation(c: &mut Criterion) {
         );
     }
     let ctx = MiningContext::with_engine_arc(Arc::clone(&db), EngineKind::Dense);
-    let candidates = level2_candidates(&ctx, SHARD_ABLATION_MINSUP);
+    let candidates = level2_candidates(&ctx, CENSUS_MINSUP);
     let backends: Vec<BackendTally> = EngineKind::BACKENDS
         .iter()
         .map(|kind| {
@@ -246,7 +193,7 @@ fn bench_kernel_ablation(c: &mut Criterion) {
     }
 
     let record = CountingBenchRecord {
-        rows: SHARD_ABLATION_ROWS,
+        rows: CENSUS_ROWS,
         kernel_probes: probes,
         backends,
     };
@@ -278,10 +225,5 @@ fn bench_kernel_ablation(c: &mut Criterion) {
     );
 }
 
-criterion_group!(
-    benches,
-    bench_counting,
-    bench_shard_ablation,
-    bench_kernel_ablation
-);
+criterion_group!(benches, bench_counting, bench_kernel_ablation);
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! ```bash
 //! exp all                 # every table and figure at the default scale
 //! exp table2 --scale full # one experiment at paper-scale object counts
-//! exp table2 --engine sharded:4:dense   # pick the SupportEngine backend
+//! exp table2 --engine tid-list          # pick the SupportEngine backend
 //! exp table3 --pipeline fused           # one-pass fused pipeline
 //! exp verify              # structural sanity checks across the suite
 //! ```
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: exp <table1|table2|table3|table4|fig1|fig2|fig3|verify|all> \
 [--scale test|default|full] \
-[--engine auto|dense|tid-list|diffset|sharded:<k>:<inner>] \
+[--engine auto|dense|tid-list] \
 [--pipeline staged|fused]";
 
 fn main() -> ExitCode {

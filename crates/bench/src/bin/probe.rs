@@ -5,7 +5,7 @@
 //!
 //! ```bash
 //! probe MUSHROOMS 0.5 [test|default|full] [--frequent] \
-//!     [--engine auto|dense|tid-list|diffset|sharded:<k>:<inner>] \
+//!     [--engine auto|dense|tid-list] \
 //!     [--pipeline staged|fused] \
 //!     [--stream [--batch <n>] [--window <n>] \
 //!         [--checkpoint-dir <d> [--crash-after <k>]]] \
@@ -77,7 +77,7 @@ use std::time::Instant;
 
 /// Printed, with exit status 2, under any malformed invocation.
 const USAGE: &str = "usage: probe [<dataset> [<minsup> [test|default|full]]] [--frequent] \
-[--engine auto|dense|tid-list|diffset|sharded:<k>:<inner>] [--pipeline staged|fused] \
+[--engine auto|dense|tid-list] [--pipeline staged|fused] \
 [--stream [--batch <n>] [--stream-items <n>] [--window <n>] \
 [--checkpoint-dir <d> [--crash-after <k>]]] [--serve [--readers <n>]]";
 
@@ -331,7 +331,7 @@ fn main() {
         println!("streaming replay over the top {stream_items} items");
         let miner = RuleMiner::new(MinSupport::Fraction(minsup))
             .min_confidence(minconf)
-            .engine(engine.clone());
+            .engine(engine);
 
         if let Some(dir) = checkpoint_dir {
             // Durable replay: journal every batch, optionally crash
@@ -523,11 +523,11 @@ mod tests {
     #[test]
     fn defaults_apply_only_to_absent_positionals() {
         assert_eq!(parse(""), Ok(Args::default()));
-        let args = parse("T10I4D100K 0.01 test --engine sharded:2:auto --pipeline fused").unwrap();
+        let args = parse("T10I4D100K 0.01 test --engine tid-list --pipeline fused").unwrap();
         assert_eq!(args.dataset, Dataset::StandIn(StandIn::T10I4));
         assert_eq!(args.minsup, 0.01);
         assert_eq!(args.scale, Scale::Test);
-        assert_eq!(args.engine, Some("sharded:2:auto".parse().unwrap()));
+        assert_eq!(args.engine, Some(EngineKind::TidList));
         assert_eq!(args.pipeline, Some(PipelineKind::Fused));
         // Prefixes pick a stand-in; DRIFT is matched in any case.
         assert_eq!(
@@ -584,6 +584,18 @@ mod tests {
         assert!(parse("--engine sparse")
             .unwrap_err()
             .starts_with("--engine \"sparse\": "));
+        // The removed backends are usage errors like any unknown kind.
+        for removed in ["diffset", "sharded:2:auto"] {
+            let line = format!("T10I4D100K 0.01 test --engine {removed}");
+            assert_eq!(
+                parse(&line),
+                Err(format!(
+                    "--engine {removed:?}: unknown engine kind {removed:?}: \
+                     expected auto, dense, or tid-list"
+                )),
+                "{line}"
+            );
+        }
         assert!(parse("--pipeline both")
             .unwrap_err()
             .starts_with("--pipeline \"both\": "));

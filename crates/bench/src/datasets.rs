@@ -10,8 +10,8 @@ use rulebases_dataset::generator::{census_like, mushroom_like_scaled, QuestConfi
 use rulebases_dataset::{EngineKind, Item, TransactionDb};
 
 /// Environment variable naming the [`EngineKind`] the experiment
-/// runners mine through (`auto`, `dense`, `tid-list`, `diffset`,
-/// `sharded:<k>:<inner>`). The `exp` binary's `--engine` flag sets it.
+/// runners mine through (`auto`, `dense` or `tid-list`). The `exp`
+/// binary's `--engine` flag sets it.
 pub const ENGINE_ENV: &str = "RULEBASES_ENGINE";
 
 /// Environment variable naming the [`PipelineKind`] the experiment

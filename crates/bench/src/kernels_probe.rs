@@ -28,8 +28,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 /// Rows in the census-like stand-in behind the chunked-count probe —
-/// the same 128k scale as the shard ablation, so one cover is 2048
-/// words and the blocked loop takes several tiles.
+/// the same 128k scale as the `counting` bench's census rows, so one
+/// cover is 2048 words and the blocked loop takes several tiles.
 pub const PROBE_ROWS: usize = 1 << 17;
 
 /// One kernel-vs-scalar measurement.

@@ -20,7 +20,7 @@ pub mod tables;
 pub mod timing;
 
 /// The shared fan-out primitives (one implementation for experiment
-/// cells, sharded engines, and levelwise miners alike), re-exported from
+/// cells and levelwise miners alike), re-exported from
 /// `rulebases_dataset::pool` under this crate's historical module name.
 pub use rulebases_dataset::pool as parallel;
 

@@ -66,8 +66,8 @@ impl RuleMiner {
     }
 
     /// Selects the [`SupportEngine`] backend the pipeline mines through
-    /// (e.g. `EngineKind::Sharded { .. }` for row-sharded parallel
-    /// counting). Applies when the miner builds its own context
+    /// (e.g. `EngineKind::TidList` to force tid-lists where `Auto` would
+    /// pick dense bitsets). Applies when the miner builds its own context
     /// ([`RuleMiner::mine`]); [`RuleMiner::mine_context`] keeps the
     /// engine the caller's context already carries.
     ///
@@ -161,7 +161,7 @@ impl RuleMiner {
     }
 
     pub(crate) fn engine_config(&self) -> EngineKind {
-        self.engine.clone()
+        self.engine
     }
 
     pub(crate) fn min_confidence_config(&self) -> f64 {
@@ -182,14 +182,9 @@ impl RuleMiner {
 
     /// Runs the pipeline on a database, through the configured engine
     /// backend under the configured thread policy (so
-    /// `.parallelism(Parallelism::Off)` makes the whole run sequential,
-    /// sharded engine included).
+    /// `.parallelism(Parallelism::Off)` makes the whole run sequential).
     pub fn mine(&self, db: TransactionDb) -> MinedBases {
-        self.mine_context(&MiningContext::with_engine_par(
-            db,
-            self.engine.clone(),
-            self.parallelism,
-        ))
+        self.mine_context(&MiningContext::with_engine(db, self.engine))
     }
 
     /// Runs the pipeline on an existing context (keeping that context's
@@ -423,32 +418,39 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_and_forced_threads_yield_identical_bases() {
+    fn forced_threads_yield_identical_bases() {
         use rulebases_dataset::{EngineKind, Parallelism};
         let reference = RuleMiner::new(MinSupport::Count(2)).mine(paper_example());
         for algo in ClosedAlgorithm::ALL {
-            let bases = RuleMiner::new(MinSupport::Count(2))
-                .algorithm(algo)
-                .engine(EngineKind::Sharded {
-                    shards: 3,
-                    inner: Box::new(EngineKind::Auto),
-                })
-                .parallelism(Parallelism::Fixed(3))
-                .mine(paper_example());
-            assert_eq!(
-                bases.closed.clone().into_sorted_vec(),
-                reference.closed.clone().into_sorted_vec(),
-                "{algo}"
-            );
-            assert_eq!(bases.dg.rules(), reference.dg.rules(), "{algo}");
-            assert_eq!(bases.frequent.len(), reference.frequent.len(), "{algo}");
-            assert_eq!(
-                bases.luxenburger_reduced_rules().len(),
-                reference.luxenburger_reduced_rules().len(),
-                "{algo}"
-            );
-            // Derivations still round-trip over the sharded backend.
-            assert_eq!(bases.exact_rules(), bases.derive_exact_rules(), "{algo}");
+            for kind in EngineKind::BACKENDS {
+                let bases = RuleMiner::new(MinSupport::Count(2))
+                    .algorithm(algo)
+                    .engine(kind)
+                    .parallelism(Parallelism::Fixed(3))
+                    .mine(paper_example());
+                assert_eq!(
+                    bases.closed.clone().into_sorted_vec(),
+                    reference.closed.clone().into_sorted_vec(),
+                    "{algo} on {kind}"
+                );
+                assert_eq!(bases.dg.rules(), reference.dg.rules(), "{algo} on {kind}");
+                assert_eq!(
+                    bases.frequent.len(),
+                    reference.frequent.len(),
+                    "{algo} on {kind}"
+                );
+                assert_eq!(
+                    bases.luxenburger_reduced_rules().len(),
+                    reference.luxenburger_reduced_rules().len(),
+                    "{algo} on {kind}"
+                );
+                // Derivations still round-trip under forced threads.
+                assert_eq!(
+                    bases.exact_rules(),
+                    bases.derive_exact_rules(),
+                    "{algo} on {kind}"
+                );
+            }
         }
     }
 }

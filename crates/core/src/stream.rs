@@ -47,8 +47,7 @@
 //! append phase of a push, the out-of-window prefix *expires* through
 //! the same delta machinery in reverse: the engines absorb a
 //! [`TxDelta::Expire`] in place (covers drop their head bits, tid-lists
-//! and diffsets drain their sorted prefixes, the sharded engine drops
-//! fully-expired head shards — see
+//! drain their sorted prefixes — see
 //! [`rulebases_dataset::engine::delta`]), each expired object is removed
 //! from the lattice GALICIA-style in reverse
 //! ([`IncrementalLattice::remove_object_delta`]: supports drop, classes
@@ -532,11 +531,7 @@ pub struct StreamingMiner {
 impl StreamingMiner {
     pub(crate) fn new(config: RuleMiner, db: TransactionDb) -> Self {
         let db = Arc::new(db);
-        let ctx = MiningContext::with_engine_arc_par(
-            Arc::clone(&db),
-            config.engine_config(),
-            config.parallelism_config(),
-        );
+        let ctx = MiningContext::with_engine_arc(Arc::clone(&db), config.engine_config());
         let mut lattice = IncrementalLattice::new();
         for t in 0..db.n_transactions() {
             lattice.insert_object(&Itemset::from_sorted(db.transaction(t).to_vec()));
@@ -1058,11 +1053,7 @@ impl StreamingMiner {
             .engine(engine)
             .parallelism(wire.parallelism);
         let db = Arc::new(wire.db);
-        let ctx = MiningContext::with_engine_arc_par(
-            Arc::clone(&db),
-            config.engine_config(),
-            config.parallelism_config(),
-        );
+        let ctx = MiningContext::with_engine_arc(Arc::clone(&db), config.engine_config());
         let state = MaintainedBases {
             min_count: wire.min_count,
             in_iceberg: wire.in_iceberg,

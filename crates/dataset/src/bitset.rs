@@ -201,9 +201,8 @@ impl BitSet {
         kernels::and_count(&self.words, &other.words)
     }
 
-    /// `|self ∖ other|` without materializing the difference — the
-    /// diffset-style probe for how many objects of this extent the other
-    /// cover misses.
+    /// `|self ∖ other|` without materializing the difference — how many
+    /// objects of this extent the other cover misses.
     ///
     /// # Panics
     ///
@@ -235,15 +234,8 @@ impl BitSet {
     }
 
     /// Copies the bit range `start..start + len` into a new bitset
-    /// re-based at zero.
-    ///
-    /// This is the shard-slicing primitive of the sharded engine. A
-    /// word-aligned `start` (the boundaries [`TransactionDb::partition`]
-    /// produces) is a whole-word copy; an unaligned `start` — shard
-    /// boundaries renumbered by a prefix expiry — takes the cross-word
-    /// shift path.
-    ///
-    /// [`TransactionDb::partition`]: crate::TransactionDb::partition
+    /// re-based at zero. A word-aligned `start` is a whole-word copy; an
+    /// unaligned one takes the cross-word shift path.
     ///
     /// # Panics
     ///
@@ -275,60 +267,6 @@ impl BitSet {
         };
         out.trim_tail();
         out
-    }
-
-    /// Overwrites the bit range `start..start + block.capacity()` with
-    /// `block` (a bitset re-based at zero) — the inverse of
-    /// [`BitSet::extract_block`]. Bits outside the range are untouched.
-    /// Like the extraction, an unaligned `start` is supported via the
-    /// masked cross-word path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block does not fit within the capacity.
-    pub fn splice_block(&mut self, start: usize, block: &BitSet) {
-        assert!(
-            start + block.nbits <= self.nbits,
-            "block {start}..{} beyond capacity {}",
-            start + block.nbits,
-            self.nbits
-        );
-        if block.nbits == 0 {
-            return;
-        }
-        if start.is_multiple_of(WORD_BITS) {
-            let first = start / WORD_BITS;
-            let full_words = block.nbits / WORD_BITS;
-            self.words[first..first + full_words].copy_from_slice(&block.words[..full_words]);
-            let rem = block.nbits % WORD_BITS;
-            if rem != 0 {
-                // Merge the trailing partial word so neighbouring bits
-                // survive.
-                let mask = (1u64 << rem) - 1;
-                let target = &mut self.words[first + full_words];
-                *target = (*target & !mask) | (block.words[full_words] & mask);
-            }
-            return;
-        }
-        for (i, &w) in block.words.iter().enumerate() {
-            let bits = (block.nbits - i * WORD_BITS).min(WORD_BITS);
-            let mask = if bits == WORD_BITS {
-                !0u64
-            } else {
-                (1u64 << bits) - 1
-            };
-            let pos = start + i * WORD_BITS;
-            let (wi, off) = (pos / WORD_BITS, pos % WORD_BITS);
-            // The in-word part; bits shifted past the word boundary are
-            // re-written by the spill below.
-            self.words[wi] = (self.words[wi] & !(mask << off)) | ((w & mask) << off);
-            if off != 0 && bits > WORD_BITS - off {
-                let spill = bits - (WORD_BITS - off);
-                let spill_mask = (1u64 << spill) - 1;
-                let target = &mut self.words[wi + 1];
-                *target = (*target & !spill_mask) | ((w >> (WORD_BITS - off)) & spill_mask);
-            }
-        }
     }
 
     /// Drops the first `k` bits and re-bases the rest at zero, shrinking
@@ -494,13 +432,12 @@ mod tests {
     }
 
     #[test]
-    fn extract_and_splice_blocks_round_trip() {
+    fn aligned_blocks_extract_their_bits() {
         let s = BitSet::from_indices(300, [0, 5, 63, 64, 127, 128, 250, 299]);
-        // Word-aligned cuts at 0, 64, 128, 300 reassemble exactly.
-        let cuts = [0usize, 64, 128, 300];
-        let mut rebuilt = BitSet::new(300);
-        for w in cuts.windows(2) {
+        // Word-aligned cuts at 0, 64, 128, 300 re-base each range at zero.
+        for w in [0usize, 64, 128, 300].windows(2) {
             let block = s.extract_block(w[0], w[1] - w[0]);
+            assert_eq!(block.capacity(), w[1] - w[0]);
             assert_eq!(
                 block.iter().collect::<Vec<_>>(),
                 s.iter()
@@ -508,18 +445,7 @@ mod tests {
                     .map(|i| i - w[0])
                     .collect::<Vec<_>>()
             );
-            rebuilt.splice_block(w[0], &block);
         }
-        assert_eq!(rebuilt, s);
-    }
-
-    #[test]
-    fn splice_partial_word_preserves_neighbours() {
-        // A 10-bit block written at 64 must not clobber bits 74..128.
-        let mut s = BitSet::from_indices(128, [64, 70, 100]);
-        let block = BitSet::from_indices(10, [1, 3]);
-        s.splice_block(64, &block);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![65, 67, 100]);
     }
 
     #[test]
@@ -531,12 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn unaligned_extract_and_splice_round_trip() {
+    fn unaligned_blocks_extract_their_bits() {
         let bits = [0usize, 5, 9, 10, 63, 64, 65, 127, 128, 250, 299];
         let s = BitSet::from_indices(300, bits);
-        // Unaligned cuts reassemble exactly, same as the aligned ones.
         for cuts in [[0usize, 10, 75, 300], [0, 1, 63, 300], [0, 130, 131, 300]] {
-            let mut rebuilt = BitSet::from_indices(300, [2, 40, 80, 140, 260]);
             for w in cuts.windows(2) {
                 let block = s.extract_block(w[0], w[1] - w[0]);
                 assert_eq!(
@@ -547,20 +471,8 @@ mod tests {
                         .collect::<Vec<_>>(),
                     "cut {w:?}"
                 );
-                rebuilt.splice_block(w[0], &block);
             }
-            assert_eq!(rebuilt, s, "cuts {cuts:?}");
         }
-    }
-
-    #[test]
-    fn unaligned_splice_preserves_neighbours() {
-        // A 10-bit block written at 67 must leave 60..67 and 77..128
-        // untouched.
-        let mut s = BitSet::from_indices(128, [60, 66, 70, 76, 77, 100]);
-        let block = BitSet::from_indices(10, [1, 3]);
-        s.splice_block(67, &block);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![60, 66, 68, 70, 77, 100]);
     }
 
     #[test]
@@ -574,12 +486,6 @@ mod tests {
         s.drop_prefix(130);
         assert_eq!(s.capacity(), 0);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond capacity")]
-    fn splice_overflow_panics() {
-        BitSet::new(100).splice_block(64, &BitSet::new(64));
     }
 
     #[test]

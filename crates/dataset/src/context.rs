@@ -12,7 +12,7 @@
 //!   intersection of the objects containing `I`".
 //!
 //! [`MiningContext`] pairs the horizontal store with a pluggable
-//! [`SupportEngine`] (dense bitsets, tid-lists, or diffsets — see
+//! [`SupportEngine`] (dense bitsets or tid-lists — see
 //! [`crate::engine`]) wrapped in a memoizing closure cache: every
 //! support/extent/closure query in the workspace flows through that one
 //! engine, so the representation is swappable per workload and repeated
@@ -79,33 +79,32 @@ impl MiningContext {
         Self::with_engine_arc(Arc::new(db), kind)
     }
 
-    /// Builds a context with an explicit backend *and* thread policy:
-    /// the policy steers the `Auto` sharding promotion and is installed
-    /// on a sharded engine, so `Parallelism::Off` yields a genuinely
-    /// sequential context (see [`EngineKind::build_par`]).
-    pub fn with_engine_par(db: TransactionDb, kind: EngineKind, parallelism: Parallelism) -> Self {
-        Self::with_engine_arc_par(Arc::new(db), kind, parallelism)
+    /// [`MiningContext::with_engine`], kept for callers that still pass
+    /// a thread policy. The policy no longer affects the engine (engines
+    /// never spawn; the miners take their own [`Parallelism`]).
+    pub fn with_engine_par(db: TransactionDb, kind: EngineKind, _parallelism: Parallelism) -> Self {
+        Self::with_engine(db, kind)
     }
 
     /// Builds a context over an already-shared database without cloning
     /// it (the context stores the `Arc` directly), with an explicit
     /// backend.
     pub fn with_engine_arc(db: Arc<TransactionDb>, kind: EngineKind) -> Self {
-        Self::with_engine_arc_par(db, kind, Parallelism::Auto)
-    }
-
-    /// [`MiningContext::with_engine_arc`] with an explicit thread policy
-    /// (see [`MiningContext::with_engine_par`]).
-    pub fn with_engine_arc_par(
-        db: Arc<TransactionDb>,
-        kind: EngineKind,
-        parallelism: Parallelism,
-    ) -> Self {
-        let engine = kind.build_cached_par(&db, parallelism);
+        let engine = kind.build_cached(&db);
         MiningContext {
             horizontal: db,
             engine,
         }
+    }
+
+    /// [`MiningContext::with_engine_arc`], kept for callers that still
+    /// pass a thread policy. The policy no longer affects the engine.
+    pub fn with_engine_arc_par(
+        db: Arc<TransactionDb>,
+        kind: EngineKind,
+        _parallelism: Parallelism,
+    ) -> Self {
+        Self::with_engine_arc(db, kind)
     }
 
     /// The horizontal view.
@@ -120,7 +119,7 @@ impl MiningContext {
         self.engine.as_ref()
     }
 
-    /// The active backend's name (`"dense"`, `"tid-list"`, `"diffset"`).
+    /// The active backend's name (`"dense"` or `"tid-list"`).
     pub fn engine_name(&self) -> &'static str {
         self.engine.name()
     }
@@ -156,17 +155,9 @@ impl MiningContext {
     }
 
     /// Closure-cache counters (hits, misses, evictions) of the context's
-    /// own cache layer.
+    /// cache layer, plus its pass-through query tallies.
     pub fn closure_cache_stats(&self) -> CacheStats {
         self.engine.cache_stats()
-    }
-
-    /// Cache counters of the backend beneath the context's closure cache
-    /// — nonzero when the backend is a sharded engine with per-shard
-    /// caches (reported distinctly so the two layers never double-count
-    /// one query; see [`CachedEngine::backend_stats`]).
-    pub fn backend_cache_stats(&self) -> CacheStats {
-        self.engine.backend_stats()
     }
 
     /// Number of objects `|O|`.
@@ -374,7 +365,7 @@ mod tests {
                     vec![2, 5],
                     vec![1, 2, 3, 5],
                 ]),
-                kind.clone(),
+                kind,
             );
             assert_eq!(c.engine_name(), kind.name());
             for probe in &probes {

@@ -40,30 +40,14 @@ pub struct CacheStats {
     pub intents: u64,
     /// Bytes of horizontal row storage (CSR items + offsets) this engine
     /// stack copied into engine structures while absorbing append deltas
-    /// ([`DeltaSupportEngine::apply_delta`]). Flat backends charge the
-    /// appended rows only; the sharded backend additionally charges every
-    /// shard it rebuilds (spills, density flips). The streaming
-    /// acceptance pins read this counter: a delta-sized pipeline charges
-    /// O(batch) here, never O(database).
+    /// ([`DeltaSupportEngine::apply_delta`]): each backend charges the
+    /// appended rows only. The streaming acceptance pins read this
+    /// counter: a delta-sized pipeline charges O(batch) here, never
+    /// O(database).
     pub bytes_copied: u64,
 }
 
 impl CacheStats {
-    /// Componentwise sum of two counter sets — how the sharded engine
-    /// aggregates its per-shard caches into one report.
-    #[must_use]
-    pub fn merge(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            extents: self.extents + other.extents,
-            supports: self.supports + other.supports,
-            intents: self.intents + other.intents,
-            bytes_copied: self.bytes_copied + other.bytes_copied,
-        }
-    }
-
     /// Total closure queries seen (hits + misses).
     pub fn lookups(self) -> u64 {
         self.hits + self.misses
@@ -128,18 +112,6 @@ impl CachedEngine {
     /// The wrapped backend.
     pub fn inner(&self) -> &dyn SupportEngine {
         &*self.inner
-    }
-
-    /// The wrapped backend's own cache counters — for a sharded backend
-    /// with per-shard caches, the merged shard statistics.
-    ///
-    /// Kept separate from [`SupportEngine::cache_stats`] on purpose: this
-    /// wrapper's counters describe *this* cache layer only, so a closure
-    /// that misses here and then hits (or misses) inside every shard is
-    /// never folded into one conflated number. Callers wanting the whole
-    /// picture read both levels.
-    pub fn backend_stats(&self) -> CacheStats {
-        self.inner.cache_stats()
     }
 
     /// Drops every cached closure (counters survive).
@@ -242,10 +214,6 @@ impl SupportEngine for CachedEngine {
         Some(self)
     }
 
-    fn is_sharded(&self) -> bool {
-        self.inner.is_sharded()
-    }
-
     fn n_objects(&self) -> usize {
         self.inner.n_objects()
     }
@@ -297,14 +265,9 @@ impl SupportEngine for CachedEngine {
         self.inner.count_candidates(candidates)
     }
 
-    /// This cache layer's own counters only — shard-level caches beneath
-    /// a sharded backend report through
-    /// [`CachedEngine::backend_stats`], never merged in here (merging
-    /// would double-count a single closure query as one miss per layer).
-    /// The one exception is `bytes_copied`: the cache layer itself never
-    /// copies row storage, so the backend's delta-copy tally passes
-    /// through — one read shows the whole stack's copies, still counted
-    /// exactly once.
+    /// This cache layer's counters. `bytes_copied` is the backend's: the
+    /// cache layer itself never copies row storage, so the backend's
+    /// delta-copy tally passes through.
     fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -413,64 +376,6 @@ mod tests {
             let _ = engine.closure(&Itemset::from_ids([2]));
             assert_eq!(engine.cache_stats().hits, 1, "{}", engine.name());
         }
-    }
-
-    #[test]
-    fn merge_sums_componentwise() {
-        let a = CacheStats {
-            hits: 3,
-            misses: 5,
-            evictions: 1,
-            extents: 7,
-            supports: 11,
-            intents: 2,
-            bytes_copied: 100,
-        };
-        let b = CacheStats {
-            hits: 10,
-            misses: 2,
-            evictions: 0,
-            extents: 1,
-            supports: 4,
-            intents: 3,
-            bytes_copied: 28,
-        };
-        let merged = a.merge(b);
-        assert_eq!(merged.hits, 13);
-        assert_eq!(merged.misses, 7);
-        assert_eq!(merged.evictions, 1);
-        assert_eq!(merged.extents, 8);
-        assert_eq!(merged.supports, 15);
-        assert_eq!(merged.intents, 5);
-        assert_eq!(merged.bytes_copied, 128);
-        assert_eq!(merged.lookups(), 20);
-        assert_eq!(merged.engine_calls(), 48);
-        // Identity and commutativity.
-        assert_eq!(a.merge(CacheStats::default()), a);
-        assert_eq!(a.merge(b), b.merge(a));
-    }
-
-    #[test]
-    fn wrapping_a_sharded_engine_keeps_stats_distinct() {
-        use super::super::ShardedEngine;
-        let db = Arc::new(TransactionDb::from_rows(
-            (0..150u32).map(|t| vec![t % 6, 6 + t % 4]).collect(),
-        ));
-        let sharded = ShardedEngine::with_shard_caches(&db, 3, &EngineKind::Dense);
-        let engine = CachedEngine::new(Arc::new(sharded));
-        assert!(engine.is_sharded());
-
-        let probe = Itemset::from_ids([1]);
-        let _ = engine.closure(&probe); // outer miss, one miss per shard
-        let _ = engine.closure(&probe); // outer hit, shards never asked
-
-        let outer = engine.cache_stats();
-        assert_eq!((outer.hits, outer.misses), (1, 1), "outer layer only");
-        let shard_level = engine.backend_stats();
-        assert_eq!((shard_level.hits, shard_level.misses), (0, 3));
-        // The layers never blur into one conflated count: two closure
-        // queries stay two outer lookups, not 2 + 3.
-        assert_eq!(outer.lookups(), 2);
     }
 
     #[test]

@@ -18,18 +18,6 @@
 //!   lists (the ids are larger than everything present, so the append
 //!   keeps the lists sorted); expiry drops the ids below the cut and
 //!   renumbers the survivors down, which keeps the lists sorted too;
-//! * **diffset** appends the *missing* ids per item, seeding items the
-//!   batch introduced with the full pre-append id range (a brand-new item
-//!   was absent from every old row); expiry filters and renumbers the
-//!   difflists the same way;
-//! * **sharded** routes an append to its tail shard, re-resolves that
-//!   shard's backend when the batch flips it across a density threshold,
-//!   and spills into a fresh shard once the tail outgrows its 64-row
-//!   budget; an expiry routes to the *head*: fully-expired shards are
-//!   dropped wholesale, the shard the cut lands in absorbs a local
-//!   expiry, and the surviving shard offsets renumber down (tidset
-//!   stitching takes the unaligned block path when the cut is not
-//!   word-aligned);
 //! * **cached** invalidates exactly the closure classes whose extents
 //!   intersect the delta — an entry `X ↦ (h(X), supp X)` stays correct
 //!   unless some appended *or expired* row contains `X` — and passes the

@@ -10,8 +10,7 @@
 //!
 //! # Backends
 //!
-//! Three interchangeable representations of the per-item covers, one per
-//! density regime:
+//! Two interchangeable representations of the per-item covers:
 //!
 //! * [`DenseEngine`] — one dense [`BitSet`] per item (the transposed
 //!   relation). Intersections are word-wise `AND` + popcount: unbeatable
@@ -23,31 +22,14 @@
 //!   cost scales with the cover *sizes* rather than with `|O|/64` words,
 //!   so tid-lists win when covers are tiny relative to `|O|`: very sparse
 //!   baskets (T10I4-style) over large object counts.
-//! * [`DiffsetEngine`] — one sorted list of *missing* transaction ids per
-//!   item (Zaki & Hsiao's dEclat representation). The complement of a
-//!   near-full cover is tiny, so diffsets shine on extremely dense data
-//!   where even bitsets waste work scanning runs of ones.
 //!
-//! All backends agree bit-for-bit on every query (cross-backend
+//! Both backends agree bit-for-bit on every query (cross-backend
 //! equivalence is property-tested in `tests/proptests.rs` and
 //! `tests/equivalence.rs`); they differ only in time/space trade-offs,
 //! which makes the representation an ablatable axis — the `counting`
-//! bench swaps backends with one [`EngineKind`] value.
-//!
-//! # Sharding
-//!
-//! On top of the serial backends, [`ShardedEngine`] partitions the
-//! object set row-wise into `K` shards, holds one inner backend per shard
-//! (any of the three, resolved per shard by that shard's density), and
-//! answers every query by combining per-shard answers: supports add,
-//! extents stitch at 64-aligned shard offsets, intents intersect. Point
-//! queries walk the shards on the calling thread; only the batch calls
-//! fan the shards across scoped threads (the miners parallelize whole
-//! candidate levels instead). [`EngineKind::Sharded`] names such a configuration
-//! (spelled `sharded:<k>:<inner>` in CLI/env contexts — [`EngineKind`]
-//! implements [`FromStr`]), and [`EngineKind::Auto`]
-//! promotes itself to a sharded engine above a row-count threshold when
-//! more than one thread is available.
+//! bench swaps backends with one [`EngineKind`] value. Engines never
+//! spawn threads: parallel mining fans whole candidate levels over
+//! chunks instead (see [`crate::pool`]).
 //!
 //! # Streaming
 //!
@@ -56,50 +38,40 @@
 //! prefix of rows expires out of a window
 //! ([`TransactionDb::expire_rows`]), a [`TxDelta`] describes the batch
 //! and [`DeltaSupportEngine::apply_delta`] absorbs it in place. On
-//! append, dense covers extend, tid-lists tail-append, diffsets record
-//! the new missing ids, the sharded engine routes the delta to its tail
-//! shard (spilling into a new shard past the 64-row budget), and the
-//! closure cache invalidates only the entries the delta can change. On
-//! expiry, dense covers drop their prefix bits, tid-lists and diffsets
-//! drain their sorted heads and renumber, the sharded engine drops
-//! fully-expired head shards and hands the straddling shard a local
-//! expiry, and the cache evicts exactly the entries some expired row
-//! witnessed. See the [`delta`] module.
+//! append, dense covers extend, tid-lists tail-append, and the closure
+//! cache invalidates only the entries the delta can change. On expiry,
+//! dense covers drop their prefix bits, tid-lists drain their sorted
+//! heads and renumber, and the cache evicts exactly the entries some
+//! expired row witnessed. See the [`delta`] module.
 //!
 //! [`TransactionDb::append_rows`]: crate::TransactionDb::append_rows
 //! [`TransactionDb::expire_rows`]: crate::TransactionDb::expire_rows
 //!
 //! # Selection and caching
 //!
-//! [`EngineKind::Auto`] picks a backend from [`DatasetStats`]-style
-//! density measurements (see [`EngineKind::select`]). [`CachedEngine`]
-//! wraps any backend with a memoizing closure cache keyed by itemset
-//! hash: NextClosure and the stem-base construction re-close the same
+//! [`EngineKind::Auto`] picks a backend from the relation's density and
+//! row count (see [`EngineKind::select`]). [`CachedEngine`] wraps any
+//! backend with a memoizing closure cache keyed by itemset hash:
+//! NextClosure and the stem-base construction re-close the same
 //! candidate sets many times while walking the lectic order, and the
 //! cache turns those repeats into lookups. [`MiningContext`] always
 //! installs the cache, so every consumer rides it transparently.
 //!
 //! [`MiningContext`]: crate::MiningContext
-//! [`DatasetStats`]: crate::DatasetStats
 
 mod cache;
 pub mod delta;
 mod dense;
-mod diffset;
-mod sharded;
 mod tidlist;
 
 pub use cache::{CacheStats, CachedEngine};
 pub use delta::{AppendDelta, DeltaError, DeltaSupportEngine, ExpireDelta, TxDelta};
 pub use dense::DenseEngine;
-pub use diffset::DiffsetEngine;
-pub use sharded::{ShardedEngine, SHARD_SPILL_BUDGET};
 pub use tidlist::{intersect, intersect_count, TidList, TidListEngine};
 
 use crate::bitset::BitSet;
 use crate::item::Item;
 use crate::itemset::Itemset;
-use crate::pool::Parallelism;
 use crate::support::Support;
 use crate::transaction::TransactionDb;
 use std::fmt;
@@ -123,10 +95,10 @@ pub trait SupportEngine: fmt::Debug + Send + Sync {
 
     /// The concrete [`EngineKind`] this engine resolved to at
     /// construction — never `Auto`. `Auto` picks a backend exactly once,
-    /// when the engine is built; streaming appends do not re-resolve a
-    /// flat engine (only the sharded backend re-evaluates its *tail
-    /// shard* on [`DeltaSupportEngine::apply_delta`], where a batch can
-    /// flip one shard across a density threshold). Wrappers delegate.
+    /// when the engine is built; deltas absorbed through
+    /// [`DeltaSupportEngine::apply_delta`] never re-resolve it, even when
+    /// they move the density across the selection threshold. Wrappers
+    /// delegate.
     fn resolved_kind(&self) -> EngineKind;
 
     /// The append epoch of the data this engine reflects (see
@@ -142,17 +114,6 @@ pub trait SupportEngine: fmt::Debug + Send + Sync {
     /// must be rebuilt instead.
     fn as_delta_mut(&mut self) -> Option<&mut dyn DeltaSupportEngine> {
         None
-    }
-
-    /// Whether the engine fans its batch calls
-    /// ([`SupportEngine::count_candidates`],
-    /// [`SupportEngine::item_supports`]) over row shards internally (the
-    /// sharded backend). Point queries never spawn on any engine, so a
-    /// level of them may be fanned over chunks whatever the backend;
-    /// only callers that would split one batch call into chunks use this
-    /// to avoid nesting thread pools. Wrappers must delegate.
-    fn is_sharded(&self) -> bool {
-        false
     }
 
     /// Number of objects `|O|`.
@@ -238,11 +199,10 @@ pub(crate) fn intent_of(db: &TransactionDb, tidset: &BitSet) -> Itemset {
 
 /// Which [`SupportEngine`] backend to build for a context.
 ///
-/// Spelled `auto` / `dense` / `tid-list` / `diffset` /
-/// `sharded:<k>:<inner>` in CLI and environment contexts (see the
-/// [`FromStr`] and [`fmt::Display`] implementations; the two
+/// Spelled `auto` / `dense` / `tid-list` in CLI and environment contexts
+/// (see the [`FromStr`] and [`fmt::Display`] implementations; the two
 /// round-trip).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
     /// Pick a backend from the dataset's density and size (see
     /// [`EngineKind::select`]).
@@ -252,168 +212,55 @@ pub enum EngineKind {
     Dense,
     /// Sorted tid-lists ([`TidListEngine`]).
     TidList,
-    /// Sorted complement lists ([`DiffsetEngine`]).
-    Diffset,
-    /// Row-sharded parallel engine ([`ShardedEngine`]): `shards` shards,
-    /// each served by an `inner` backend resolved against that shard's
-    /// own density.
-    Sharded {
-        /// Number of row shards (clamped to at least 1 when built).
-        shards: usize,
-        /// Backend built per shard; `Auto` resolves per shard by density
-        /// (never to nested sharding), an explicit `Sharded` nests.
-        inner: Box<EngineKind>,
-    },
 }
 
-/// `Auto` promotes itself to a sharded engine at or above this row count
-/// (when more than one thread is available): below it, fan-out overhead
-/// eats the parallel win. [`ShardedEngine`] uses the same floor to
-/// decide whether an `Auto`-policy engine actually spawns threads for its
-/// batch calls, so a relation big enough to auto-shard is always big
-/// enough to fan them.
-pub const AUTO_SHARD_MIN_ROWS: usize = 1 << 14;
-
-/// `Auto` caps its shard count here — past one socket's worth of cores,
-/// support counting is memory-bandwidth-bound and extra shards only add
-/// stitching work.
-const AUTO_SHARD_MAX: usize = 8;
-
 impl EngineKind {
-    /// The three concrete serial backends — the ablation axis for
-    /// benchmarks and equivalence tests (sharded configurations are
-    /// parameterized and enumerated by the tests that need them).
-    pub const BACKENDS: [EngineKind; 3] =
-        [EngineKind::Dense, EngineKind::TidList, EngineKind::Diffset];
+    /// The concrete backends — the ablation axis for benchmarks and
+    /// equivalence tests.
+    pub const BACKENDS: [EngineKind; 2] = [EngineKind::Dense, EngineKind::TidList];
 
-    /// Stable identifier (shard count and inner kind are carried by the
-    /// [`fmt::Display`] form, not the name).
+    /// Stable identifier, also the [`fmt::Display`] form.
     pub fn name(&self) -> &'static str {
         match self {
             EngineKind::Auto => "auto",
             EngineKind::Dense => "dense",
             EngineKind::TidList => "tid-list",
-            EngineKind::Diffset => "diffset",
-            EngineKind::Sharded { .. } => "sharded",
         }
     }
 
-    /// Resolves `Auto` against a concrete database, under the default
-    /// ([`Parallelism::Auto`]) thread policy. Large relations
-    /// (≥ [`AUTO_SHARD_MIN_ROWS`] rows) shard across the available
-    /// threads; everything else gets the flat density choice of
-    /// [`EngineKind::select_flat`].
+    /// Resolves `Auto` against a concrete database by density alone:
+    /// tid-lists for very sparse relations over many rows (density
+    /// strictly below 0.02 with at least 1024 rows — intersections then
+    /// touch only the occupied entries), dense bitsets for everything
+    /// else. Explicit kinds resolve to themselves.
     pub fn select(&self, db: &TransactionDb) -> EngineKind {
-        self.select_par(db, Parallelism::Auto)
-    }
-
-    /// Resolves `Auto` against a concrete database and an explicit
-    /// thread policy: the promotion to sharding only happens when the
-    /// policy grants more than one thread (so `Off` never shards), and
-    /// the shard count follows the policy's thread count. The inner kind
-    /// stays `Auto` so each shard resolves its own density at build time
-    /// (a dense head and a sparse tail get different representations).
-    pub fn select_par(&self, db: &TransactionDb, parallelism: Parallelism) -> EngineKind {
         match self {
-            EngineKind::Auto => {
-                let threads = parallelism.threads();
-                if threads > 1 && db.n_transactions() >= AUTO_SHARD_MIN_ROWS {
-                    EngineKind::Sharded {
-                        shards: threads.min(AUTO_SHARD_MAX),
-                        inner: Box::new(EngineKind::Auto),
-                    }
-                } else {
-                    self.select_flat(db)
-                }
+            EngineKind::Auto if db.density() < 0.02 && db.n_transactions() >= 1024 => {
+                EngineKind::TidList
             }
-            other => other.clone(),
+            EngineKind::Auto => EngineKind::Dense,
+            other => *other,
         }
     }
 
-    /// Resolves `Auto` by density alone, never choosing sharding:
-    /// tid-lists for very sparse relations over large object counts
-    /// (intersections touch only the occupied entries), diffsets for
-    /// near-saturated relations (complements are tiny), dense bitsets —
-    /// the robust middle — for everything else. This is also how a
-    /// [`ShardedEngine`] resolves its inner kind per shard.
-    pub fn select_flat(&self, db: &TransactionDb) -> EngineKind {
-        self.select_by_density(db.density(), db.n_transactions())
-    }
-
-    /// The density rule behind [`EngineKind::select_flat`], on raw
-    /// measurements — the form the sharded engine uses to re-resolve its
-    /// tail shard after an append without materializing the slice
-    /// (density from [`TransactionDb::rows_density`]). Thresholds:
-    /// tid-lists strictly below density 0.02 (with at least 1024 rows),
-    /// diffsets strictly above 0.60, dense bitsets between.
-    ///
-    /// [`TransactionDb::rows_density`]: crate::TransactionDb::rows_density
-    pub fn select_by_density(&self, density: f64, n_rows: usize) -> EngineKind {
-        match self {
-            EngineKind::Auto => {
-                if density < 0.02 && n_rows >= 1024 {
-                    EngineKind::TidList
-                } else if density > 0.60 {
-                    EngineKind::Diffset
-                } else {
-                    EngineKind::Dense
-                }
-            }
-            other => other.clone(),
-        }
-    }
-
-    /// Builds the backend for a database (resolving `Auto` first) under
-    /// the default thread policy.
+    /// Builds the backend for a database (resolving `Auto` first).
     pub fn build(&self, db: &Arc<TransactionDb>) -> Arc<dyn SupportEngine> {
-        self.build_par(db, Parallelism::Auto)
-    }
-
-    /// Builds the backend for a database under an explicit thread
-    /// policy: the policy steers the `Auto` sharding promotion and is
-    /// installed on a sharded engine (so `Off` yields genuinely
-    /// sequential engines and `Fixed(n)` caps the fan-out of each batch
-    /// call at `n` workers; point queries always run inline). Flat
-    /// backends have no threads to configure.
-    pub fn build_par(
-        &self,
-        db: &Arc<TransactionDb>,
-        parallelism: Parallelism,
-    ) -> Arc<dyn SupportEngine> {
-        match self.select_par(db, parallelism) {
-            EngineKind::Auto => unreachable!("select_par() returns a concrete kind"),
+        match self.select(db) {
+            EngineKind::Auto => unreachable!("select() returns a concrete kind"),
             EngineKind::Dense => Arc::new(DenseEngine::from_horizontal(db)),
             EngineKind::TidList => Arc::new(TidListEngine::from_horizontal(db)),
-            EngineKind::Diffset => Arc::new(DiffsetEngine::from_horizontal(db)),
-            EngineKind::Sharded { shards, inner } => Arc::new(
-                ShardedEngine::from_horizontal(db, shards, &inner).parallelism(parallelism),
-            ),
         }
     }
 
     /// Builds the backend and wraps it in a memoizing [`CachedEngine`].
     pub fn build_cached(&self, db: &Arc<TransactionDb>) -> Arc<CachedEngine> {
-        self.build_cached_par(db, Parallelism::Auto)
-    }
-
-    /// Builds the backend under an explicit thread policy (see
-    /// [`EngineKind::build_par`]) and wraps it in a memoizing
-    /// [`CachedEngine`].
-    pub fn build_cached_par(
-        &self,
-        db: &Arc<TransactionDb>,
-        parallelism: Parallelism,
-    ) -> Arc<CachedEngine> {
-        Arc::new(CachedEngine::new(self.build_par(db, parallelism)))
+        Arc::new(CachedEngine::new(self.build(db)))
     }
 }
 
 impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineKind::Sharded { shards, inner } => write!(f, "sharded:{shards}:{inner}"),
-            other => f.write_str(other.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -425,7 +272,7 @@ impl fmt::Display for ParseEngineKindError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: expected auto, dense, tid-list, diffset, or sharded:<k>:<inner>",
+            "unknown engine kind {:?}: expected auto, dense, or tid-list",
             self.0
         )
     }
@@ -436,31 +283,14 @@ impl std::error::Error for ParseEngineKindError {}
 impl FromStr for EngineKind {
     type Err = ParseEngineKindError;
 
-    /// Parses `auto` / `dense` / `tid-list` (or `tidlist`) / `diffset` /
-    /// `sharded:<k>:<inner>`, where `<inner>` is itself any parseable
-    /// kind (so `sharded:4:auto` and even nested shardings round-trip).
+    /// Parses `auto` / `dense` / `tid-list` (or `tidlist`), ignoring
+    /// surrounding whitespace.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        match s {
+        match s.trim() {
             "auto" => Ok(EngineKind::Auto),
             "dense" => Ok(EngineKind::Dense),
             "tid-list" | "tidlist" => Ok(EngineKind::TidList),
-            "diffset" => Ok(EngineKind::Diffset),
-            _ => {
-                let err = || ParseEngineKindError(format!("unknown engine kind {s:?}"));
-                let rest = s.strip_prefix("sharded:").ok_or_else(err)?;
-                let (count, inner) = rest.split_once(':').ok_or_else(err)?;
-                let shards: usize = count.parse().map_err(|_| err())?;
-                if shards == 0 {
-                    return Err(ParseEngineKindError(format!(
-                        "invalid shard count in {s:?}: must be at least 1"
-                    )));
-                }
-                Ok(EngineKind::Sharded {
-                    shards,
-                    inner: Box::new(inner.parse()?),
-                })
-            }
+            other => Err(ParseEngineKindError(other.to_owned())),
         }
     }
 }
@@ -577,155 +407,63 @@ mod tests {
         let db = paper_example();
         assert_eq!(EngineKind::Auto.select(&db), EngineKind::Dense);
         // Explicit kinds resolve to themselves.
-        assert_eq!(EngineKind::Diffset.select(&db), EngineKind::Diffset);
+        assert_eq!(EngineKind::TidList.select(&db), EngineKind::TidList);
+        assert_eq!(EngineKind::Dense.select(&db), EngineKind::Dense);
 
-        // A large sparse relation selects tid-lists.
+        // A large sparse relation selects tid-lists...
         let sparse =
-            TransactionDb::from_rows((0..2000).map(|t| vec![t % 97, 97 + t % 101]).collect());
-        assert!(sparse.density() < 0.02);
-        assert_eq!(EngineKind::Auto.select(&sparse), EngineKind::TidList);
+            |n: u32| TransactionDb::from_rows((0..n).map(|t| vec![t % 97, 97 + t % 101]).collect());
+        let large = sparse(2000);
+        assert!(large.density() < 0.02);
+        assert_eq!(EngineKind::Auto.select(&large), EngineKind::TidList);
+        // ...at any size past the row floor (no promotion to anything
+        // else on big relations)...
+        assert_eq!(
+            EngineKind::Auto.select(&sparse(20_000)),
+            EngineKind::TidList
+        );
+        // ...but not below it, however sparse.
+        let small = sparse(1023);
+        assert!(small.density() < 0.02);
+        assert_eq!(EngineKind::Auto.select(&small), EngineKind::Dense);
 
-        // A near-saturated relation selects diffsets.
+        // A near-saturated relation stays on dense bitsets.
         let dense = TransactionDb::from_rows(
             (0..100u32)
                 .map(|t| (0..8).filter(|i| *i != t % 8).collect())
                 .collect(),
         );
         assert!(dense.density() > 0.60);
-        assert_eq!(EngineKind::Auto.select(&dense), EngineKind::Diffset);
+        assert_eq!(EngineKind::Auto.select(&dense), EngineKind::Dense);
     }
 
     #[test]
     fn display_and_fromstr_round_trip() {
-        let kinds = [
-            EngineKind::Auto,
-            EngineKind::Dense,
-            EngineKind::TidList,
-            EngineKind::Diffset,
-            EngineKind::Sharded {
-                shards: 4,
-                inner: Box::new(EngineKind::Dense),
-            },
-            EngineKind::Sharded {
-                shards: 2,
-                inner: Box::new(EngineKind::Sharded {
-                    shards: 3,
-                    inner: Box::new(EngineKind::TidList),
-                }),
-            },
-        ];
-        for kind in kinds {
+        for kind in [EngineKind::Auto, EngineKind::Dense, EngineKind::TidList] {
             let text = kind.to_string();
             assert_eq!(text.parse::<EngineKind>().unwrap(), kind, "{text}");
         }
-        assert_eq!(
-            "sharded:4:diffset".parse::<EngineKind>().unwrap(),
-            EngineKind::Sharded {
-                shards: 4,
-                inner: Box::new(EngineKind::Diffset),
-            }
-        );
         assert_eq!(
             "tidlist".parse::<EngineKind>().unwrap(),
             EngineKind::TidList
         );
         assert_eq!(" dense ".parse::<EngineKind>().unwrap(), EngineKind::Dense);
+        // Removed spellings (diffsets, row sharding) fail like any other
+        // unknown kind, naming the accepted ones.
         for bad in [
             "bogus",
+            "diffset",
             "sharded",
             "sharded:4",
             "sharded:x:dense",
             "sharded:0:dense",
+            "sharded:2:auto",
+            "sharded:4:dense",
         ] {
-            assert!(bad.parse::<EngineKind>().is_err(), "{bad}");
+            let err = bad.parse::<EngineKind>().expect_err(bad).to_string();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.ends_with("expected auto, dense, or tid-list"), "{err}");
         }
-    }
-
-    #[test]
-    fn sharded_kind_builds_and_agrees() {
-        let db = Arc::new(paper_example());
-        let reference = EngineKind::Dense.build(&db);
-        let kind = EngineKind::Sharded {
-            shards: 3,
-            inner: Box::new(EngineKind::Auto),
-        };
-        assert_eq!(kind.name(), "sharded");
-        let engine = kind.build(&db);
-        assert_eq!(engine.name(), "sharded");
-        for probe in [set(&[1]), set(&[2, 5]), Itemset::empty(), set(&[99])] {
-            assert_eq!(engine.support(&probe), reference.support(&probe));
-            assert_eq!(engine.closure(&probe), reference.closure(&probe));
-            assert_eq!(engine.tidset_of(&probe), reference.tidset_of(&probe));
-        }
-    }
-
-    #[test]
-    fn auto_shard_threshold_is_the_documented_16384_rows() {
-        // ROADMAP.md and CHANGES.md both document "Auto promotes itself
-        // to sharding at ≥ 16384 rows"; this pin keeps code and docs from
-        // drifting apart again (they did once: an early changelog said
-        // 8192).
-        assert_eq!(AUTO_SHARD_MIN_ROWS, 16384);
-        let rows_at = |n: usize| {
-            TransactionDb::from_rows((0..n as u32).map(|t| vec![t % 11, 11 + t % 7]).collect())
-        };
-        // One row below the floor: never sharded, whatever the policy.
-        let below = rows_at(AUTO_SHARD_MIN_ROWS - 1);
-        assert_eq!(
-            EngineKind::Auto.select_par(&below, Parallelism::Fixed(4)),
-            EngineKind::Auto.select_flat(&below)
-        );
-        // Exactly at the floor: sharded as soon as threads are granted.
-        let at = rows_at(AUTO_SHARD_MIN_ROWS);
-        assert_eq!(
-            EngineKind::Auto.select_par(&at, Parallelism::Fixed(4)),
-            EngineKind::Sharded {
-                shards: 4,
-                inner: Box::new(EngineKind::Auto),
-            }
-        );
-    }
-
-    #[test]
-    fn auto_shards_large_relations_when_threads_allow() {
-        let big = TransactionDb::from_rows(
-            (0..AUTO_SHARD_MIN_ROWS as u32)
-                .map(|t| vec![t % 11, 11 + t % 7])
-                .collect(),
-        );
-        let selected = EngineKind::Auto.select(&big);
-        if Parallelism::Auto.is_parallel() {
-            match selected {
-                EngineKind::Sharded { shards, inner } => {
-                    assert!((2..=8).contains(&shards));
-                    // The inner kind stays Auto so each shard resolves
-                    // its own density at build time.
-                    assert_eq!(*inner, EngineKind::Auto);
-                }
-                other => panic!("expected sharding, got {other}"),
-            }
-        } else {
-            // Single-threaded environments never shard automatically.
-            assert_eq!(selected, EngineKind::Auto.select_flat(&big));
-        }
-        // An explicit policy steers the promotion regardless of the
-        // environment: Off never shards, Fixed(4) always does.
-        assert_eq!(
-            EngineKind::Auto.select_par(&big, Parallelism::Off),
-            EngineKind::Auto.select_flat(&big)
-        );
-        assert_eq!(
-            EngineKind::Auto.select_par(&big, Parallelism::Fixed(4)),
-            EngineKind::Sharded {
-                shards: 4,
-                inner: Box::new(EngineKind::Auto),
-            }
-        );
-        // select_flat never shards, whatever the size.
-        assert!(!matches!(
-            EngineKind::Auto.select_flat(&big),
-            EngineKind::Sharded { .. }
-        ));
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! Every base of the paper is computed almost entirely out of two
 //! primitives: word-wise bitset intersection + popcount (dense extents)
 //! and sorted-list intersection (tid-lists, itemset intents). Those inner
-//! loops dominate once the algorithmic passes are fixed — the dEclat /
-//! diffset line of work is explicitly about such representation-level
-//! constant factors — so they live here as standalone kernels over raw
-//! `&[u64]` / `&[T]` slices, shared by [`BitSet`], the engine backends,
-//! and [`Itemset`].
+//! loops dominate once the algorithmic passes are fixed, so they live
+//! here as standalone kernels over raw `&[u64]` / `&[T]` slices, shared
+//! by [`BitSet`], the engine backends, and [`Itemset`].
 //!
 //! Two techniques, both measured (not asserted) by the `counting` bench's
 //! kernel ablation and property-tested equal to the [`scalar`] reference
@@ -272,7 +270,7 @@ pub fn and_count(a: &[u64], b: &[u64]) -> usize {
 }
 
 /// `|a ∖ b|`: popcount of the word-wise AND-NOT, without materializing
-/// it — the diffset-style "how much of `a` does `b` miss" probe.
+/// it — how much of `a` does `b` miss.
 ///
 /// # Panics
 ///
@@ -602,36 +600,6 @@ pub fn intersect_in_place<T: Ord + Copy>(a: &mut Vec<T>, b: &[T]) {
     a.truncate(write);
 }
 
-/// Union of two sorted lists, by branch-light merge. Strictly sorted
-/// inputs yield a strictly sorted, duplicate-free output — the diffset
-/// prefix-union accumulator of batch counting.
-pub fn union_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        out.push(if x <= y { x } else { y });
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Size of the union of two sorted lists, by branch-light merge — the
-/// diffset support path (`supp(X) = |O| − |⋃ d(i)|`) for two-item sets.
-pub fn union_count_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        n += 1;
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    n + (a.len() - i) + (b.len() - j)
-}
-
 /// Scalar reference implementations of every kernel above.
 ///
 /// These are the seed's original one-word-at-a-time / two-pointer loops,
@@ -703,23 +671,6 @@ pub mod scalar {
             }
         }
         n
-    }
-
-    /// Two-pointer sorted union count.
-    pub fn union_count_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> usize {
-        let (mut i, mut j, mut n) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-            n += 1;
-        }
-        n + (a.len() - i) + (b.len() - j)
     }
 }
 
@@ -869,20 +820,6 @@ mod tests {
                 let mut in_place = b.clone();
                 intersect_in_place(&mut in_place, &a);
                 assert_eq!(in_place, expect, "{la}x{sa} vs {lb}x{sb}");
-                let union = union_sorted(&a, &b);
-                assert_eq!(
-                    union.len(),
-                    scalar::union_count_sorted(&a, &b),
-                    "{la}x{sa} vs {lb}x{sb}"
-                );
-                assert!(union.windows(2).all(|w| w[0] < w[1]));
-                assert!(a.iter().all(|x| union.contains(x)));
-                assert!(b.iter().all(|x| union.contains(x)));
-                assert_eq!(
-                    union_count_sorted(&a, &b),
-                    scalar::union_count_sorted(&a, &b),
-                    "{la}x{sa} vs {lb}x{sb}"
-                );
             }
         }
     }

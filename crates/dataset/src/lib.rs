@@ -11,9 +11,8 @@
 //!   [`BitSet`] (dense object sets), over the chunked/galloping set
 //!   primitives of [`kernels`];
 //! * the stores: [`TransactionDb`] (horizontal, CSR) and the pluggable
-//!   vertical [`engine`] backends (dense bitsets, tid-lists, diffsets,
-//!   and the row-sharded parallel [`ShardedEngine`]) behind the
-//!   [`SupportEngine`] trait, wrapped in a memoizing closure cache;
+//!   vertical [`engine`] backends (dense bitsets and tid-lists) behind
+//!   the [`SupportEngine`] trait, wrapped in a memoizing closure cache;
 //! * the shared [`pool`] fan-out primitives and the [`Parallelism`]
 //!   configuration every parallel construction threads through;
 //! * the **Galois connection** of the paper's Section 2 via
@@ -69,7 +68,7 @@ pub use checksum::{fnv1a64, Fnv64};
 pub use context::MiningContext;
 pub use engine::{
     AppendDelta, CacheStats, CachedEngine, DeltaError, DeltaSupportEngine, EngineKind, ExpireDelta,
-    ShardedEngine, SupportEngine, TxDelta,
+    SupportEngine, TxDelta,
 };
 pub use error::DatasetError;
 pub use item::{Item, ItemDictionary};

@@ -2,12 +2,11 @@
 //!
 //! Every parallel construction in the workspace goes through this one
 //! module: the levelwise miners fan each wide candidate level over
-//! chunks, the [`ShardedEngine`] fans its batch calls (candidate
-//! counting, item supports) across its row shards, and the bench crate
-//! runs independent experiment cells side by side (it re-exports this
-//! module as `rulebases_bench::parallel`). Point queries never spawn —
-//! the sharded engine walks its shards on the calling thread — so a
-//! fanned level holds exactly its chunk threads and nothing nests.
+//! chunks, parallel batch counting fans a candidate level the same way,
+//! and the bench crate runs independent experiment cells side by side
+//! (it re-exports this module as `rulebases_bench::parallel`). Engines
+//! never spawn, so a fanned level holds exactly its chunk threads and
+//! nothing nests.
 //! Keeping a single implementation means one place to reason about
 //! panics, one ordering guarantee (results always come back in input
 //! order), one spawn tally ([`threads_spawned`]), and one knob —
@@ -16,11 +15,9 @@
 //!
 //! The primitives are deliberately simple `std::thread::scope` fan-outs:
 //! the workloads here are CPU-bound and coarse-grained (a chunk of a
-//! candidate level, a shard's batch count, an experiment cell), so a
-//! work-stealing pool would buy nothing over scoped threads while
-//! costing a dependency the offline build environment cannot fetch.
-//!
-//! [`ShardedEngine`]: crate::engine::ShardedEngine
+//! candidate level, an experiment cell), so a work-stealing pool would
+//! buy nothing over scoped threads while costing a dependency the
+//! offline build environment cannot fetch.
 
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
@@ -153,8 +150,8 @@ where
 /// Maps `f` over `items` with one scoped thread per item; results come
 /// back in input order.
 ///
-/// Right when the items are few and coarse (shards of a database,
-/// experiment cells — one dataset × one threshold): thread-per-item is
+/// Right when the items are few and coarse (experiment cells — one
+/// dataset × one threshold): thread-per-item is
 /// then the correct granularity and needs no chunking policy. For long
 /// homogeneous lists use [`parallel_chunks`] instead.
 ///

@@ -3,10 +3,8 @@
 //! A [`TransactionDb`](crate::TransactionDb) used to own one monolithic
 //! CSR buffer, which made every snapshot a full copy: a streaming session
 //! that appends a batch while engines still pin the previous snapshot had
-//! to clone the whole prefix just to add a few rows, and cutting a shard
-//! view ([`TransactionDb::slice_rows`](crate::TransactionDb::slice_rows))
-//! duplicated the rows it covered. This module is the storage layer that
-//! makes those operations delta-sized instead:
+//! to clone the whole prefix just to add a few rows. This module is the
+//! storage layer that makes appends and expiries delta-sized instead:
 //!
 //! * a [`Segment`] is one immutable CSR run of rows (items concatenated,
 //!   local offsets), shared behind an `Arc`;
@@ -16,9 +14,9 @@
 //! * appending builds **one new segment** from the batch and pushes it
 //!   onto the view — the prefix segments are untouched, so every engine
 //!   still holding the previous snapshot keeps sharing them;
-//! * slicing and partitioning re-window the segment list — zero row
-//!   copies, which is what lets the sharded engine refresh a shard's
-//!   universe after an append without rewriting the shard's rows.
+//! * expiring a prefix re-windows the segment list — fully-expired
+//!   segments drop out and the one the cut lands in advances its window
+//!   start, with zero row copies.
 //!
 //! The segment list grows by one per non-empty append;
 //! [`TransactionDb::compact`](crate::TransactionDb::compact) folds a

@@ -5,8 +5,8 @@
 //! run of items in CSR layout. Since PR 5 the rows live in **append-only
 //! shared segments** (see [`crate::storage`]): a `TransactionDb` value is
 //! a cheap epoch-versioned *view* over `Arc`-shared [`Segment`]s, so
-//! cloning a snapshot, slicing a shard, or appending a batch never copies
-//! existing row data.
+//! cloning a snapshot, appending a batch, or expiring a prefix never
+//! copies existing row data.
 
 use crate::error::DatasetError;
 use crate::item::{Item, ItemDictionary};
@@ -47,9 +47,9 @@ impl SegmentSlice {
 /// derived structures in sync (see [`crate::engine::TxDelta`]).
 ///
 /// A `TransactionDb` is a *view*: cloning shares the segments (`Arc`s),
-/// [`TransactionDb::slice_rows`] and [`TransactionDb::partition`] cut
-/// zero-copy windows, and the universe size (`n_items`) lives on the view
-/// — growing it never rewrites storage. Snapshots pinned by engines
+/// [`TransactionDb::expire_rows`] re-windows them without copying, and
+/// the universe size (`n_items`) lives on the view — growing it never
+/// rewrites storage. Snapshots pinned by engines
 /// across an append therefore share every pre-append segment with the
 /// grown view ([`TransactionDb::segment_addrs`] makes the sharing
 /// observable).
@@ -82,8 +82,8 @@ pub struct TransactionDb {
     /// Optional label dictionary (shared — views and snapshots alias it).
     dict: Option<Arc<ItemDictionary>>,
     /// Monotone append counter: 0 at construction, +1 per
-    /// [`TransactionDb::append_rows`] call. Row slices inherit the parent
-    /// epoch so per-shard views stay comparable with the whole.
+    /// [`TransactionDb::append_rows`] or [`TransactionDb::expire_rows`]
+    /// call.
     epoch: u64,
 }
 
@@ -230,8 +230,8 @@ impl TransactionDb {
     }
 
     /// The append epoch: 0 at construction, incremented by every
-    /// [`TransactionDb::append_rows`] call. Slices and shards inherit the
-    /// epoch of the database they were cut from.
+    /// [`TransactionDb::append_rows`] and [`TransactionDb::expire_rows`]
+    /// call.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -450,102 +450,14 @@ impl TransactionDb {
         self.n_entries as f64 / self.n_transactions() as f64
     }
 
-    /// Splits the database row-wise into `k` contiguous shards.
-    ///
-    /// Every shard keeps the full item universe and the label dictionary,
-    /// so an itemset query means the same thing against any shard and the
-    /// global answer is the shard answers stitched back together (supports
-    /// add, extents concatenate, intents intersect). Shards are zero-copy
-    /// views sharing this database's segments. Interior shard boundaries
-    /// are aligned to multiples of 64 rows so per-shard tidsets splice
-    /// into global tidsets with whole-word copies
-    /// ([`BitSet::splice_block`]); consequently shards are only
-    /// approximately balanced and may be empty when `64·k` exceeds the row
-    /// count — an empty shard is a legitimate (if useless) context.
-    ///
-    /// [`BitSet::splice_block`]: crate::BitSet::splice_block
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn partition(&self, k: usize) -> Vec<TransactionDb> {
-        assert!(k > 0, "cannot partition into 0 shards");
-        partition_points(self.n_transactions(), k)
-            .windows(2)
-            .map(|w| self.slice_rows(w[0], w[1]))
-            .collect()
-    }
-
-    /// Rows `start..end` as a standalone **view** sharing this database's
-    /// segments, universe, dictionary, and epoch — how the sharded engine
-    /// cuts its per-shard views (and re-cuts the tail shard after an
-    /// append). No row data is copied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > n_transactions()`.
-    pub fn slice_rows(&self, start: usize, end: usize) -> TransactionDb {
-        let mut slices = Vec::new();
-        let mut starts = vec![0];
-        let mut n_entries = 0;
-        for (slice, lo, hi) in self.clamped_windows(start, end) {
-            let window = SegmentSlice {
-                seg: Arc::clone(&slice.seg),
-                lo,
-                hi,
-            };
-            starts.push(starts.last().unwrap() + window.n_rows());
-            n_entries += window.entries();
-            slices.push(window);
-        }
-        TransactionDb {
-            slices,
-            starts,
-            n_entries,
-            n_items: self.n_items,
-            dict: self.dict.clone(),
-            epoch: self.epoch,
-        }
-    }
-
-    /// The non-empty per-segment windows covering view rows
-    /// `start..end`: each yielded triple is a slice plus the clamped
-    /// segment-local row range within it — the one place the
-    /// range-to-segment arithmetic lives
-    /// ([`TransactionDb::slice_rows`] and
-    /// [`TransactionDb::entries_in_rows`] both consume it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > n_transactions()`.
-    fn clamped_windows(
-        &self,
-        start: usize,
-        end: usize,
-    ) -> impl Iterator<Item = (&SegmentSlice, usize, usize)> + '_ {
-        assert!(
-            start <= end && end <= self.n_transactions(),
-            "invalid row range {start}..{end} of {}",
-            self.n_transactions()
-        );
-        self.slices
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, slice)| {
-                let g_lo = self.starts[i];
-                let g_hi = self.starts[i + 1];
-                if g_hi <= start || g_lo >= end {
-                    return None;
-                }
-                let lo = slice.lo + start.max(g_lo) - g_lo;
-                let hi = slice.lo + end.min(g_hi) - g_lo;
-                (lo < hi).then_some((slice, lo, hi))
-            })
-    }
-
-    /// Density of the relation: `n_entries / (|O| · |I|)`.
+    /// Density of the relation: `n_entries / (|O| · |I|)`, or 0 for an
+    /// empty relation.
     pub fn density(&self) -> f64 {
-        self.rows_density(0, self.n_transactions())
+        let cells = self.n_transactions() * self.n_items;
+        if cells == 0 {
+            return 0.0;
+        }
+        self.n_entries as f64 / cells as f64
     }
 
     /// Number of `(object, item)` entries in rows `start..end`, read off
@@ -555,21 +467,25 @@ impl TransactionDb {
     ///
     /// Panics if `start > end` or `end > n_transactions()`.
     pub fn entries_in_rows(&self, start: usize, end: usize) -> usize {
-        self.clamped_windows(start, end)
-            .map(|(slice, lo, hi)| slice.seg.entries_in(lo, hi))
+        assert!(
+            start <= end && end <= self.n_transactions(),
+            "invalid row range {start}..{end} of {}",
+            self.n_transactions()
+        );
+        self.slices
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slice)| {
+                let g_lo = self.starts[i];
+                let g_hi = self.starts[i + 1];
+                if g_hi <= start || g_lo >= end {
+                    return None;
+                }
+                let lo = slice.lo + start.max(g_lo) - g_lo;
+                let hi = slice.lo + end.min(g_hi) - g_lo;
+                Some(slice.seg.entries_in(lo, hi))
+            })
             .sum()
-    }
-
-    /// Density of the row range `start..end` against the full universe —
-    /// what [`TransactionDb::slice_rows`]`(start, end).density()` would
-    /// report, without materializing the slice. The sharded engine uses it
-    /// to re-resolve a shard's backend after an append.
-    pub fn rows_density(&self, start: usize, end: usize) -> f64 {
-        let cells = (end - start) * self.n_items;
-        if cells == 0 {
-            return 0.0;
-        }
-        self.entries_in_rows(start, end) as f64 / cells as f64
     }
 
     /// Number of storage segments behind this view: 1 after a fresh build,
@@ -683,23 +599,6 @@ impl Deserialize for TransactionDb {
         db.epoch = wire.epoch;
         Ok(db)
     }
-}
-
-/// The `k + 1` nondecreasing shard boundaries of an `n`-row database:
-/// balanced `i·n/k` targets rounded to the nearest multiple of 64 (the
-/// word-alignment [`TransactionDb::partition`] promises), with the ends
-/// pinned to `0` and `n`.
-fn partition_points(n: usize, k: usize) -> Vec<usize> {
-    // Interior boundaries may never exceed the last aligned row index
-    // (clamping to `n` itself would break the 64-alignment promise when
-    // `n` is not a multiple of 64).
-    let aligned_floor = n / 64 * 64;
-    let mut points: Vec<usize> = (0..=k)
-        .map(|i| ((i * n / k + 32) / 64 * 64).min(aligned_floor))
-        .collect();
-    points[0] = 0;
-    points[k] = n;
-    points
 }
 
 /// Membership of a sorted needle inside a sorted haystack.
@@ -915,53 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_preserves_rows_universe_and_dictionary() {
-        let rows: Vec<Vec<u32>> = (0..200u32).map(|t| vec![t % 7, 7 + t % 5]).collect();
-        let db = TransactionDb::from_rows(rows).with_dictionary(ItemDictionary::from_labels(
-            (0..12).map(|i| format!("i{i}")).collect::<Vec<_>>(),
-        ));
-        for k in [1, 2, 3, 8, 250] {
-            let shards = db.partition(k);
-            assert_eq!(shards.len(), k);
-            let mut global = 0usize;
-            for shard in &shards {
-                assert_eq!(shard.n_items(), db.n_items(), "k={k}");
-                assert!(shard.dictionary().is_some());
-                for t in 0..shard.n_transactions() {
-                    assert_eq!(shard.transaction(t), db.transaction(global + t), "k={k}");
-                }
-                global += shard.n_transactions();
-            }
-            assert_eq!(global, db.n_transactions(), "k={k}");
-        }
-    }
-
-    #[test]
-    fn partition_boundaries_are_word_aligned() {
-        let db = TransactionDb::from_rows((0..1000u32).map(|t| vec![t % 9]).collect());
-        let shards = db.partition(7);
-        let mut offset = 0usize;
-        for shard in &shards[..shards.len() - 1] {
-            offset += shard.n_transactions();
-            assert_eq!(offset % 64, 0, "interior boundary {offset} unaligned");
-        }
-    }
-
-    #[test]
-    fn partition_of_empty_db() {
-        let db = TransactionDb::from_rows(vec![]);
-        let shards = db.partition(3);
-        assert_eq!(shards.len(), 3);
-        assert!(shards.iter().all(|s| s.n_transactions() == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "0 shards")]
-    fn partition_zero_panics() {
-        let _ = paper_db().partition(0);
-    }
-
-    #[test]
     fn append_rows_grows_view_and_epoch() {
         let mut db = paper_db();
         assert_eq!(db.epoch(), 0);
@@ -1015,28 +867,31 @@ mod tests {
     }
 
     #[test]
-    fn slices_are_zero_copy_views() {
+    fn entries_in_rows_reads_across_segments() {
         let mut db = TransactionDb::from_rows((0..130u32).map(|t| vec![t % 7]).collect());
         db.append_rows(vec![vec![1, 2, 3], vec![0]]).unwrap();
-        let slice = db.slice_rows(64, 132);
-        // The slice shares the parent's segments: its addresses are a
-        // subsequence of the parent's.
-        for addr in slice.segment_addrs() {
-            assert!(db.segment_addrs().contains(&addr));
+        let by_rows = |db: &TransactionDb, lo: usize, hi: usize| {
+            (lo..hi).map(|t| db.transaction(t).len()).sum::<usize>()
+        };
+        for (lo, hi) in [(0, 132), (64, 132), (3, 10), (129, 131), (5, 5)] {
+            assert_eq!(
+                db.entries_in_rows(lo, hi),
+                by_rows(&db, lo, hi),
+                "{lo}..{hi}"
+            );
         }
-        assert_eq!(slice.n_transactions(), 68);
-        for t in 0..slice.n_transactions() {
-            assert_eq!(slice.transaction(t), db.transaction(64 + t));
+        // After a prefix expiry, ranges are relative to the shrunk view.
+        db.expire_rows(100);
+        for (lo, hi) in [(0, 32), (20, 32), (29, 31)] {
+            assert_eq!(
+                db.entries_in_rows(lo, hi),
+                by_rows(&db, lo, hi),
+                "{lo}..{hi}"
+            );
         }
-        assert_eq!(slice.n_entries(), db.entries_in_rows(64, 132));
-        // Interior slice of a single segment.
-        let inner = db.slice_rows(3, 10);
-        assert_eq!(inner.n_segments(), 1);
-        assert_eq!(inner.transaction(0), db.transaction(3));
-        // Empty slice.
-        let empty = db.slice_rows(5, 5);
-        assert_eq!(empty.n_transactions(), 0);
-        assert_eq!(empty.n_segments(), 0);
+        assert_eq!(db.entries_in_rows(0, db.n_transactions()), db.n_entries());
+        let cells = db.n_transactions() * db.n_items();
+        assert!((db.density() - db.n_entries() as f64 / cells as f64).abs() < 1e-12);
     }
 
     #[test]
@@ -1058,10 +913,13 @@ mod tests {
         let addr = fresh.segment_addrs();
         fresh.compact();
         assert_eq!(fresh.segment_addrs(), addr);
-        // Compacting a partial view materializes just that window.
-        let mut window = db.slice_rows(2, 6);
+        // Compacting a partially-expired view materializes just the
+        // surviving rows.
+        let mut window = db.clone();
+        window.expire_rows(2);
         window.compact();
-        assert_eq!(window.n_transactions(), 4);
+        assert_eq!(window.n_segments(), 1);
+        assert_eq!(window.n_transactions(), db.n_transactions() - 2);
         assert_eq!(window.transaction(0), db.transaction(2));
     }
 
@@ -1174,21 +1032,6 @@ mod tests {
         db.append_rows(vec![vec![1]]).unwrap();
         assert_eq!(db.n_transactions(), 2);
         assert_eq!(db.epoch(), 1);
-    }
-
-    #[test]
-    fn slices_inherit_epoch_and_rows_density_matches() {
-        let mut db = TransactionDb::from_rows((0..130u32).map(|t| vec![t % 7]).collect());
-        db.append_rows(vec![vec![1, 2, 3], vec![0]]).unwrap();
-        let slice = db.slice_rows(64, 132);
-        assert_eq!(slice.epoch(), db.epoch());
-        assert_eq!(slice.n_transactions(), 68);
-        let direct = slice.density();
-        assert!((db.rows_density(64, 132) - direct).abs() < 1e-12);
-        for shard in db.partition(3) {
-            assert_eq!(shard.epoch(), db.epoch());
-        }
-        assert_eq!(db.rows_density(5, 5), 0.0);
     }
 
     #[test]

@@ -167,21 +167,6 @@ proptest! {
     }
 
     #[test]
-    fn union_kernels_match_scalar((a, b) in list_pairs()) {
-        let expect = scalar::union_count_sorted(&a, &b);
-        prop_assert_eq!(kernels::union_count_sorted(&a, &b), expect);
-        prop_assert_eq!(kernels::union_count_sorted(&b, &a), expect);
-        let union = kernels::union_sorted(&a, &b);
-        prop_assert_eq!(union.len(), expect);
-        prop_assert!(union.windows(2).all(|w| w[0] < w[1]));
-        // Inclusion–exclusion ties the union and intersection kernels.
-        prop_assert_eq!(
-            expect + kernels::intersect_count_sorted(&a, &b),
-            a.len() + b.len()
-        );
-    }
-
-    #[test]
     fn itemset_intersect_with_matches_merge_oracle((a, b) in list_pairs()) {
         let sa = Itemset::from_ids(a);
         let sb = Itemset::from_ids(b);

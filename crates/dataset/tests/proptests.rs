@@ -4,11 +4,11 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rulebases_dataset::engine::{DenseEngine, DiffsetEngine, TidListEngine};
+use rulebases_dataset::engine::{DenseEngine, TidListEngine};
 use rulebases_dataset::io::{read_dat, write_dat};
 use rulebases_dataset::{
-    BitSet, CachedEngine, DeltaSupportEngine, EngineKind, Itemset, MiningContext, Parallelism,
-    ShardedEngine, SupportEngine, TransactionDb, TxDelta,
+    BitSet, CachedEngine, DeltaSupportEngine, EngineKind, Itemset, MiningContext, SupportEngine,
+    TransactionDb, TxDelta,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -186,8 +186,8 @@ proptest! {
         rows in vec(vec(0u32..14, 0..8), 0..14),
         probes in vec(vec(0u32..16, 0..5), 1..8),
     ) {
-        // Dense bitsets, tid-lists, and diffsets are three encodings of
-        // one relation: every query must agree bit-for-bit. Probes range
+        // Dense bitsets and tid-lists are two encodings of one
+        // relation: every query must agree bit-for-bit. Probes range
         // past the universe (ids up to 15 on a ≤14-item universe) to pin
         // the out-of-universe convention too.
         let db = Arc::new(TransactionDb::from_rows(rows));
@@ -240,86 +240,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_engine_agrees_with_dense(
-        rows in vec(vec(0u32..14, 0..8), 0..90),
-        probes in vec(vec(0u32..16, 0..5), 1..6),
-        shards in 1usize..=8,
-        inner_idx in 0usize..4,
-        threads in 1usize..=4,
-    ) {
-        // Row-sharding is a representation change, never a semantic one:
-        // for random shard counts, random inner backends and random
-        // thread fan-outs, every query agrees bit-for-bit with the dense
-        // serial reference (the usual out-of-universe probes included).
-        let inners = [
-            EngineKind::Auto,
-            EngineKind::Dense,
-            EngineKind::TidList,
-            EngineKind::Diffset,
-        ];
-        let db = Arc::new(TransactionDb::from_rows(rows));
-        let dense = EngineKind::Dense.build(&db);
-        let sharded = ShardedEngine::from_horizontal(&db, shards, &inners[inner_idx])
-            .parallelism(Parallelism::Fixed(threads));
-        prop_assert_eq!(sharded.n_objects(), dense.n_objects());
-        prop_assert_eq!(sharded.n_items(), dense.n_items());
-        prop_assert_eq!(sharded.item_supports(), dense.item_supports());
-        for i in 0..16u32 {
-            let item = rulebases_dataset::Item::new(i);
-            prop_assert_eq!(sharded.cover(item), dense.cover(item), "cover {}", i);
-        }
-        for ids in &probes {
-            let probe = Itemset::from_ids(ids.iter().copied());
-            prop_assert_eq!(
-                sharded.support(&probe), dense.support(&probe),
-                "support of {:?}", probe
-            );
-            prop_assert_eq!(
-                sharded.tidset_of(&probe), dense.tidset_of(&probe),
-                "tidset of {:?}", probe
-            );
-            prop_assert_eq!(
-                sharded.closure(&probe), dense.closure(&probe),
-                "closure of {:?}", probe
-            );
-            prop_assert_eq!(
-                sharded.closure_and_support(&probe), dense.closure_and_support(&probe),
-                "closure+support of {:?}", probe
-            );
-        }
-        let candidates: Vec<Itemset> = probes
-            .iter()
-            .map(|ids| Itemset::from_ids(ids.iter().copied()))
-            .collect();
-        prop_assert_eq!(
-            sharded.count_candidates(&candidates),
-            dense.count_candidates(&candidates),
-            "batch counts"
-        );
-    }
-
-    #[test]
-    fn sharded_closure_of_tidset_distributes(
-        rows in vec(vec(0u32..10, 0..6), 1..70),
-        tid_picks in vec(0usize..70, 0..10),
-        shards in 2usize..=6,
-    ) {
-        // The intent of an arbitrary object set — not necessarily an
-        // extent — must survive shard-offset slicing and stitching.
-        let db = Arc::new(TransactionDb::from_rows(rows));
-        let dense = EngineKind::Dense.build(&db);
-        let sharded = ShardedEngine::from_horizontal(&db, shards, &EngineKind::Dense);
-        let tidset = BitSet::from_indices(
-            db.n_transactions(),
-            tid_picks.into_iter().filter(|&t| t < db.n_transactions()),
-        );
-        prop_assert_eq!(
-            sharded.closure_of_tidset(&tidset),
-            dense.closure_of_tidset(&tidset)
-        );
-    }
-
-    #[test]
     fn cached_engine_is_transparent(
         rows in vec(vec(0u32..10, 0..6), 1..10),
         probe_ids in vec(0u32..10, 0..5),
@@ -369,28 +289,22 @@ proptest! {
         base in vec(vec(0u32..12, 0..7), 0..60),
         batches in vec(vec(vec(0u32..14, 0..7), 0..40), 1..4),
         probes in vec(vec(0u32..16, 0..5), 1..6),
-        shards in 1usize..=4,
     ) {
         // Applying append deltas in place must be indistinguishable from
         // rebuilding the engine on the grown database — for every
-        // backend, for a sharded configuration (which routes the delta to
-        // its tail shard and may spill), and for the cached wrapper
-        // (which must invalidate exactly the stale closure classes).
+        // backend, and for the cached wrapper (which must invalidate
+        // exactly the stale closure classes).
         // Batch ids range past the base universe so appends grow it.
         let mut db = TransactionDb::from_rows(base);
         let shared = Arc::new(db.clone());
         let mut engines: Vec<Box<dyn DeltaSupportEngine>> = vec![
             Box::new(DenseEngine::from_horizontal(&shared)),
             Box::new(TidListEngine::from_horizontal(&shared)),
-            Box::new(DiffsetEngine::from_horizontal(&shared)),
-            Box::new(ShardedEngine::from_horizontal(&shared, shards, &EngineKind::Auto)),
-            Box::new(CachedEngine::new(
-                EngineKind::Auto.select_flat(&shared).build(&shared),
-            )),
+            Box::new(CachedEngine::new(EngineKind::Auto.build(&shared))),
         ];
         // Warm the cached engine so stale entries exist to invalidate.
         for ids in &probes {
-            let _ = engines[4].closure(&Itemset::from_ids(ids.iter().copied()));
+            let _ = engines[2].closure(&Itemset::from_ids(ids.iter().copied()));
         }
         for batch in batches {
             let info = db.append_rows(batch).unwrap();
@@ -433,15 +347,12 @@ proptest! {
         batches in vec(vec(vec(0u32..14, 0..7), 0..30), 1..4),
         expire_fracs in vec(0u32..=100u32, 1..4),
         probes in vec(vec(0u32..16, 0..5), 1..6),
-        shards in 1usize..=4,
     ) {
         // The removal dual of the property above: absorbing an expiry
         // delta in place must be indistinguishable from rebuilding the
-        // engine on the shrunk database — for every backend, for a
-        // sharded configuration (which drops fully-expired head shards
-        // and hands the straddler a local expiry), and for the cached
-        // wrapper (which must evict exactly the closure classes some
-        // expired row witnessed). Appends interleave so the stream mixes
+        // engine on the shrunk database — for every backend, and for the
+        // cached wrapper (which must evict exactly the closure classes
+        // some expired row witnessed). Appends interleave so the stream mixes
         // both delta kinds, including expiring rows appended moments
         // before.
         let mut db = TransactionDb::from_rows(base);
@@ -449,15 +360,11 @@ proptest! {
         let mut engines: Vec<Box<dyn DeltaSupportEngine>> = vec![
             Box::new(DenseEngine::from_horizontal(&shared)),
             Box::new(TidListEngine::from_horizontal(&shared)),
-            Box::new(DiffsetEngine::from_horizontal(&shared)),
-            Box::new(ShardedEngine::from_horizontal(&shared, shards, &EngineKind::Auto)),
-            Box::new(CachedEngine::new(
-                EngineKind::Auto.select_flat(&shared).build(&shared),
-            )),
+            Box::new(CachedEngine::new(EngineKind::Auto.build(&shared))),
         ];
         // Warm the cached engine so stale entries exist to evict.
         for ids in &probes {
-            let _ = engines[4].closure(&Itemset::from_ids(ids.iter().copied()));
+            let _ = engines[2].closure(&Itemset::from_ids(ids.iter().copied()));
         }
         for (round, batch) in batches.into_iter().enumerate() {
             let info = db.append_rows(batch).unwrap();
@@ -502,21 +409,9 @@ proptest! {
     }
 }
 
-/// The shard-count × inner-backend grid the segment-equivalence property
-/// runs over. The single-shard leg always runs; the multi-shard
-/// configurations (which fan threads and build K backends per epoch) ride
-/// the `RULEBASES_THREADS=4` leg of the CI matrix so the 1-CPU test wall
-/// stays inside its budget.
-fn segment_grid_shards() -> Vec<usize> {
-    match std::env::var("RULEBASES_THREADS").as_deref() {
-        Ok("1") => vec![1],
-        _ => vec![1, 3],
-    }
-}
-
 // The segmented-store equivalence property: cases are capped explicitly
 // (and by `PROPTEST_CASES`) because every case builds engines at every
-// epoch over a 4-backend grid.
+// epoch over every backend.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -531,8 +426,7 @@ proptest! {
         // every query exactly as the pre-segmented cloned-CSR store did —
         // it reads the first `n_e` rows and nothing else — across any
         // number of later appends to the parent view, including
-        // universe-growing ones, over every backend and a sharded
-        // configuration.
+        // universe-growing ones, over every backend.
         /// One pinned epoch: row count, universe size, the snapshot, and
         /// the engine grid built over it.
         type PinnedEpoch = (usize, usize, Arc<TransactionDb>, Vec<Arc<dyn SupportEngine>>);
@@ -541,17 +435,10 @@ proptest! {
         let mut pinned: Vec<PinnedEpoch> = Vec::new();
         let pin = |db: &TransactionDb, pinned: &mut Vec<PinnedEpoch>| {
             let snap = Arc::new(db.clone());
-            let mut engines: Vec<Arc<dyn SupportEngine>> = EngineKind::BACKENDS
+            let engines: Vec<Arc<dyn SupportEngine>> = EngineKind::BACKENDS
                 .iter()
                 .map(|kind| kind.build(&snap))
                 .collect();
-            for shards in segment_grid_shards() {
-                engines.push(Arc::new(ShardedEngine::from_horizontal(
-                    &snap,
-                    shards,
-                    &EngineKind::Auto,
-                )));
-            }
             pinned.push((db.n_transactions(), db.n_items(), snap, engines));
         };
         pin(&db, &mut pinned);
@@ -639,70 +526,39 @@ fn delta_bytes_are_batch_sized_not_prefix_sized() {
     assert_eq!(copied_per_prefix[0], copied_per_prefix[1]);
 }
 
-/// Same pin for the sharded backend: after the first (amortizing) spill,
-/// 1-row appends touch only the ≤64-row tail shard, so the copied bytes
-/// stay bounded by the tail budget — never by the prefix.
-#[test]
-fn sharded_delta_bytes_are_tail_bounded() {
-    let rows: Vec<Vec<u32>> = (0..4096u32).map(|t| vec![t % 5, 5 + t % 3]).collect();
-    let mut db = TransactionDb::from_rows(rows);
-    let shared = Arc::new(db.clone());
-    let mut engine = ShardedEngine::from_horizontal(&shared, 4, &EngineKind::Auto);
-    // First append may seal the oversized seed tail — amortized once.
-    let info = db.append_rows(vec![vec![0, 6]]).unwrap();
-    engine
-        .apply_delta(&TxDelta::new(Arc::new(db.clone()), info))
-        .unwrap();
-    let after_seal = engine.cache_stats().bytes_copied;
-    // From here on every 1-row append is tail-budget bounded.
-    for i in 0..8u32 {
-        let info = db.append_rows(vec![vec![i % 5, 6]]).unwrap();
-        engine
-            .apply_delta(&TxDelta::new(Arc::new(db.clone()), info))
-            .unwrap();
-    }
-    let steady = engine.cache_stats().bytes_copied - after_seal;
-    // 8 appends, each ≤ one 64-row tail rebuild in the worst case.
-    assert!(
-        steady < 8 * 2048,
-        "8 single-row appends copied {steady} bytes against a 4096-row prefix"
-    );
-}
-
 /// A universe-growing append must not rewrite existing segments: the
 /// engines widen their universe in place and the storage addresses of
 /// every pre-append segment survive.
 #[test]
 fn universe_growth_rewrites_no_segment() {
     let rows: Vec<Vec<u32>> = (0..512u32).map(|t| vec![t % 7]).collect();
-    let mut db = TransactionDb::from_rows(rows);
-    let shared = Arc::new(db.clone());
-    let mut engine = ShardedEngine::from_horizontal(&shared, 3, &EngineKind::Auto);
-    // Spend the one-time amortized seal of the oversized seed tail, so
-    // the measured append isolates the universe-growth cost.
-    let info = db.append_rows(vec![vec![1]]).unwrap();
-    engine
-        .apply_delta(&TxDelta::new(Arc::new(db.clone()), info))
-        .unwrap();
-    let after_seal = engine.cache_stats().bytes_copied;
-    let before_addrs = db.segment_addrs();
-    // Item 99 grows the universe from 7 to 100 items.
-    let info = db.append_rows(vec![vec![99]]).unwrap();
-    let grown = Arc::new(db.clone());
-    engine.apply_delta(&TxDelta::new(grown, info)).unwrap();
-    assert_eq!(engine.n_items(), 100);
-    // Every pre-append segment survives by identity; one new segment.
-    let after_addrs = db.segment_addrs();
-    assert_eq!(&after_addrs[..before_addrs.len()], &before_addrs[..]);
-    assert_eq!(after_addrs.len(), before_addrs.len() + 1);
-    // The non-tail shard refreshes are zero-copy: only the appended row
-    // (and, at worst, a ≤64-row tail rebuild) was charged.
-    let copied = engine.cache_stats().bytes_copied - after_seal;
-    assert!(
-        copied < 2048,
-        "universe-growing 1-row append copied {copied} bytes"
-    );
-    // The engine still answers over the widened universe.
-    assert_eq!(engine.support(&Itemset::from_ids([99])), 1);
-    assert_eq!(engine.support(&Itemset::from_ids([1])), 74);
+    let seed = TransactionDb::from_rows(rows);
+    let shared = Arc::new(seed.clone());
+    let engines: Vec<Box<dyn DeltaSupportEngine>> = vec![
+        Box::new(DenseEngine::from_horizontal(&shared)),
+        Box::new(TidListEngine::from_horizontal(&shared)),
+    ];
+    for mut engine in engines {
+        let mut db = seed.clone();
+        let before_addrs = db.segment_addrs();
+        // Item 99 grows the universe from 7 to 100 items.
+        let info = db.append_rows(vec![vec![99]]).unwrap();
+        let grown = Arc::new(db.clone());
+        engine.apply_delta(&TxDelta::new(grown, info)).unwrap();
+        assert_eq!(engine.n_items(), 100, "{}", engine.name());
+        // Every pre-append segment survives by identity; one new segment.
+        let after_addrs = db.segment_addrs();
+        assert_eq!(&after_addrs[..before_addrs.len()], &before_addrs[..]);
+        assert_eq!(after_addrs.len(), before_addrs.len() + 1);
+        // Only the appended row was charged.
+        let copied = engine.cache_stats().bytes_copied;
+        assert!(
+            copied < 128,
+            "{}: universe-growing 1-row append copied {copied} bytes",
+            engine.name()
+        );
+        // The engine still answers over the widened universe.
+        assert_eq!(engine.support(&Itemset::from_ids([99])), 1);
+        assert_eq!(engine.support(&Itemset::from_ids([1])), 73);
+    }
 }

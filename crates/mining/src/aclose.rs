@@ -161,22 +161,18 @@ mod tests {
 
     #[test]
     fn forced_parallelism_matches_sequential() {
-        // The closure phase fanned over a sharded engine must match the
-        // sequential mine too.
+        // The fanned closure phase must match the sequential mine on
+        // every backend.
         use rulebases_dataset::EngineKind;
         let rows: Vec<Vec<u32>> = (0..80u32)
             .map(|t| vec![t % 4, 4 + t % 3, 7 + (t / 2) % 4])
             .collect();
         let db = rulebases_dataset::TransactionDb::from_rows(rows);
-        let sharded = EngineKind::Sharded {
-            shards: 3,
-            inner: Box::new(EngineKind::Auto),
-        };
-        let flat_ctx = MiningContext::new(db.clone());
         let sequential = AClose::new()
             .parallelism(Parallelism::Off)
-            .mine(&flat_ctx, MinSupport::Count(2));
-        for ctx in [flat_ctx, MiningContext::with_engine(db, sharded)] {
+            .mine(&MiningContext::new(db.clone()), MinSupport::Count(2));
+        for kind in EngineKind::BACKENDS {
+            let ctx = MiningContext::with_engine(db.clone(), kind);
             let parallel = AClose::new()
                 .parallelism(Parallelism::Fixed(3))
                 .mine(&ctx, MinSupport::Count(2));

@@ -131,11 +131,10 @@ impl Close {
             stats.candidates_counted += candidates.len();
             // Each candidate is independent (extent → support filter →
             // closure), so wide levels fan over candidate chunks on every
-            // engine: the point queries below run on the calling thread
-            // (a sharded engine walks its shards inline), so the level
-            // spawns once per chunk. The merge below runs sequentially in
-            // candidate order, keeping the output deterministic whatever
-            // the thread policy.
+            // engine: engines never spawn, so the level spawns once per
+            // chunk. The merge below runs sequentially in candidate
+            // order, keeping the output deterministic whatever the
+            // thread policy.
             let evaluate = |candidate: &Itemset| {
                 let extent = engine.tidset_of(candidate);
                 let support = extent.count() as Support;
@@ -262,21 +261,17 @@ mod tests {
     fn forced_parallelism_matches_sequential() {
         // Wide enough for multiple chunks under Fixed(3); the engine
         // backend and the thread policy must not change a single closed
-        // set or support — levels fanned over a sharded engine included.
+        // set or support.
         use rulebases_dataset::EngineKind;
         let rows: Vec<Vec<u32>> = (0..90u32)
             .map(|t| vec![t % 4, 4 + t % 3, 7 + (t / 2) % 5])
             .collect();
         let db = rulebases_dataset::TransactionDb::from_rows(rows);
-        let sharded = EngineKind::Sharded {
-            shards: 3,
-            inner: Box::new(EngineKind::Auto),
-        };
-        let flat_ctx = MiningContext::new(db.clone());
         let sequential = Close::new()
             .parallelism(Parallelism::Off)
-            .mine(&flat_ctx, MinSupport::Count(2));
-        for ctx in [flat_ctx, MiningContext::with_engine(db, sharded)] {
+            .mine(&MiningContext::new(db.clone()), MinSupport::Count(2));
+        for kind in EngineKind::BACKENDS {
+            let ctx = MiningContext::with_engine(db.clone(), kind);
             for threads in [2, 3, 8] {
                 let parallel = Close::new()
                     .parallelism(Parallelism::Fixed(threads))
@@ -289,22 +284,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mines_over_a_sharded_engine() {
-        use rulebases_dataset::EngineKind;
-        let rows: Vec<Vec<u32>> = (0..150u32).map(|t| vec![t % 5, 5 + t % 3]).collect();
-        let db = rulebases_dataset::TransactionDb::from_rows(rows);
-        let reference = Close::new().mine(&MiningContext::new(db.clone()), MinSupport::Count(3));
-        let sharded = MiningContext::with_engine(
-            db,
-            EngineKind::Sharded {
-                shards: 4,
-                inner: Box::new(EngineKind::Auto),
-            },
-        );
-        let fc = Close::new().mine(&sharded, MinSupport::Count(3));
-        assert_eq!(fc.into_sorted_vec(), reference.clone().into_sorted_vec(),);
     }
 }

@@ -11,15 +11,13 @@
 //! * [`CountingStrategy::Vertical`] — candidate-driven through the
 //!   context's [`SupportEngine`] batch API
 //!   ([`SupportEngine::count_candidates`]): which vertical representation
-//!   does the work (dense bitsets, tid-lists, diffsets, shards) is the
-//!   engine's choice, making the backend an independent ablation axis.
+//!   does the work (dense bitsets or tid-lists) is the engine's choice,
+//!   making the backend an independent ablation axis.
 //! * [`CountingStrategy::Parallel`] — the vertical batch API over
 //!   candidate chunks fanned across scoped threads
 //!   ([`parallel_chunks`]): each worker batch-counts a contiguous slice
 //!   of the level, and the per-chunk counts concatenate back in
-//!   candidate order. A sharded engine already fans each batch call
-//!   over its shards, so this strategy steps aside rather than nest
-//!   thread pools.
+//!   candidate order.
 //! * [`CountingStrategy::Auto`] picks per level based on transaction
 //!   length, `k`, the level width, and the configured [`Parallelism`].
 //!
@@ -84,10 +82,6 @@ pub fn count_candidates_with(
     debug_assert!(candidates.iter().all(|c| c.len() == k));
     match strategy {
         CountingStrategy::Auto => {
-            if ctx.engine().is_sharded() {
-                // The sharded engine fans its own batch API internally.
-                return count_vertical(ctx, candidates);
-            }
             if parallelism.threads() > 1 && candidates.len() >= PARALLEL_MIN_CANDIDATES {
                 return count_parallel(ctx, candidates, parallelism);
             }
@@ -114,13 +108,11 @@ fn count_vertical(ctx: &MiningContext, candidates: &[Itemset]) -> Vec<Support> {
 
 /// Maps `f` over one candidate level (or generator set), fanning chunks
 /// across threads when the policy grants more than one and the level is
-/// at least [`PARALLEL_MIN_CANDIDATES`] wide — whatever the engine: the
-/// point queries `f` makes run on the calling thread on every backend
-/// (the sharded one included), so a fanned level spawns once and nothing
-/// spawns inside a chunk. Results come back in input order, so the
-/// sequential and fanned paths are interchangeable — this one guard is
-/// shared by Close's per-level extent/closure evaluation and A-Close's
-/// closure phase.
+/// at least [`PARALLEL_MIN_CANDIDATES`] wide. Engines never spawn, so a
+/// fanned level spawns once and nothing spawns inside a chunk. Results
+/// come back in input order, so the sequential and fanned paths are
+/// interchangeable — this one guard is shared by Close's per-level
+/// extent/closure evaluation and A-Close's closure phase.
 pub fn map_level<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -137,17 +129,17 @@ where
 
 /// Fans the level over candidate chunks, each batch-counted by the
 /// engine on its own scoped thread; degenerates to [`count_vertical`]
-/// when the policy is sequential or the engine shards internally.
+/// when the policy is sequential.
 fn count_parallel(
     ctx: &MiningContext,
     candidates: &[Itemset],
     parallelism: Parallelism,
 ) -> Vec<Support> {
-    let engine = ctx.engine();
     let threads = parallelism.threads();
-    if threads <= 1 || engine.is_sharded() {
+    if threads <= 1 {
         return count_vertical(ctx, candidates);
     }
+    let engine = ctx.engine();
     parallel_chunks(candidates, threads, |chunk| engine.count_candidates(chunk))
 }
 
@@ -274,32 +266,6 @@ mod tests {
             );
             assert_eq!(parallel, serial, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn parallel_strategy_over_sharded_engine_delegates() {
-        use rulebases_dataset::EngineKind;
-        let rows: Vec<Vec<u32>> = (0..130u32).map(|t| vec![t % 6, 6 + t % 3]).collect();
-        let db = rulebases_dataset::TransactionDb::from_rows(rows);
-        let sharded_ctx = MiningContext::with_engine(
-            db.clone(),
-            EngineKind::Sharded {
-                shards: 3,
-                inner: Box::new(EngineKind::Dense),
-            },
-        );
-        let plain_ctx = MiningContext::new(db);
-        let candidates: Vec<Itemset> = (0..6u32).map(|a| Itemset::from_ids([a, 6])).collect();
-        assert_eq!(
-            count_candidates_with(
-                &sharded_ctx,
-                &candidates,
-                2,
-                CountingStrategy::Parallel,
-                Parallelism::Fixed(4),
-            ),
-            count_candidates(&plain_ctx, &candidates, 2, CountingStrategy::Vertical),
-        );
     }
 
     #[test]

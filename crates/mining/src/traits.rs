@@ -60,8 +60,7 @@ impl ClosedAlgorithm {
 
     /// Runs the selected algorithm against any [`SupportEngine`] backend
     /// under an explicit thread policy. CHARM's IT-tree search is
-    /// inherently sequential and ignores the policy (its point queries run
-    /// on the calling thread on every engine, the sharded one included).
+    /// inherently sequential and ignores the policy.
     pub fn mine_engine_par(
         self,
         engine: &dyn SupportEngine,

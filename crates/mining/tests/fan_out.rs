@@ -1,7 +1,7 @@
 //! Regression pin on the mining thread model: Close fans each wide
-//! candidate level over chunks, and the sharded engine answers the point
-//! queries inside a chunk on the calling thread — so a mine spawns a
-//! bounded number of threads per level, never a number per engine call.
+//! candidate level over chunks, and the engine answers the point queries
+//! inside a chunk on the calling thread — so a mine spawns a bounded
+//! number of threads per level, never a number per engine call.
 //!
 //! The spawn tally (`pool::threads_spawned`) is process-wide, so this
 //! binary holds exactly one test: nothing else can spawn while it reads
@@ -13,7 +13,7 @@ use rulebases_dataset::{EngineKind, MinSupport, MiningContext, Parallelism};
 use rulebases_mining::Close;
 
 #[test]
-fn close_over_a_sharded_engine_spawns_per_level_not_per_query() {
+fn close_spawns_per_level_not_per_query() {
     let db = mushroom_like_scaled(1_000, 7);
     let minsup = MinSupport::Fraction(0.3);
     let reference = Close::new().parallelism(Parallelism::Off).mine(
@@ -21,11 +21,7 @@ fn close_over_a_sharded_engine_spawns_per_level_not_per_query() {
         minsup,
     );
 
-    let sharded = EngineKind::Sharded {
-        shards: 2,
-        inner: Box::new(EngineKind::Dense),
-    };
-    let ctx = MiningContext::with_engine_par(db, sharded, Parallelism::Fixed(2));
+    let ctx = MiningContext::with_engine(db, EngineKind::Dense);
     let before = threads_spawned();
     let fc = Close::new()
         .parallelism(Parallelism::Fixed(2))

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use rulebases::{MinedBases, PipelineKind, RuleMiner};
 use rulebases_dataset::{
-    EngineKind, Itemset, MinSupport, MiningContext, Parallelism, ShardedEngine, TransactionDb,
+    EngineKind, Itemset, MinSupport, MiningContext, Parallelism, TransactionDb,
 };
 use rulebases_mining::brute::{brute_closed, brute_frequent};
 use rulebases_mining::{
@@ -76,24 +76,17 @@ proptest! {
     fn closed_miners_agree_under_every_backend(
         db in contexts(),
         min_count in 1u64..4,
-        shards in 1usize..=5,
     ) {
         // The full (algorithm × representation) grid returns one answer:
-        // every closed miner over every SupportEngine backend — the three
-        // serial representations plus row-sharded configurations —
-        // matches the brute-force oracle.
+        // every closed miner over every SupportEngine backend, sequential
+        // or under a forced thread policy, matches the brute-force oracle.
         let threshold = MinSupport::Count(min_count);
         let reference = {
             let ctx = MiningContext::new(db.clone());
             brute_closed(&ctx, threshold).into_sorted_vec()
         };
         let shared = Arc::new(db);
-        let mut grid: Vec<EngineKind> = EngineKind::BACKENDS.to_vec();
-        grid.push(EngineKind::Sharded {
-            shards,
-            inner: Box::new(EngineKind::Auto),
-        });
-        for kind in grid {
+        for kind in EngineKind::BACKENDS {
             let engine = kind.build(&shared);
             for algo in ClosedAlgorithm::ALL {
                 let mined = algo.mine_engine(engine.as_ref(), threshold).into_sorted_vec();
@@ -101,20 +94,14 @@ proptest! {
                     &mined, &reference,
                     "{} over {} disagrees with brute force", algo, kind
                 );
+                let fanned = algo
+                    .mine_engine_par(engine.as_ref(), threshold, Parallelism::Fixed(2))
+                    .into_sorted_vec();
+                prop_assert_eq!(
+                    &fanned, &reference,
+                    "{} over {} under Fixed(2) disagrees with brute force", algo, kind
+                );
             }
-        }
-        // The sharded engine with a forced thread fan-out (and per-shard
-        // caches) must answer identically too, under every algorithm.
-        let fanned = ShardedEngine::with_shard_caches(&shared, shards, &EngineKind::Auto)
-            .parallelism(Parallelism::Fixed(shards.min(3)));
-        for algo in ClosedAlgorithm::ALL {
-            let mined = algo
-                .mine_engine_par(&fanned, threshold, Parallelism::Fixed(2))
-                .into_sorted_vec();
-            prop_assert_eq!(
-                &mined, &reference,
-                "{} over fanned sharded({}) disagrees with brute force", algo, shards
-            );
         }
     }
 
@@ -123,22 +110,16 @@ proptest! {
         db in contexts(),
         min_count in 1u64..4,
         minconf_idx in 0usize..4,
-        shards in 1usize..=4,
     ) {
         let minconf = [0.0, 0.5, 0.8, 1.0][minconf_idx];
         // The fused one-pass pipeline and the staged oracle must agree on
         // every product — closed sets, Hasse edges, DG basis, both
         // Luxenburger bases — whatever the algorithm and engine backend.
         let shared = Arc::new(db);
-        let mut grid: Vec<EngineKind> = EngineKind::BACKENDS.to_vec();
-        grid.push(EngineKind::Sharded {
-            shards,
-            inner: Box::new(EngineKind::Auto),
-        });
-        for kind in grid {
+        for kind in EngineKind::BACKENDS {
             for algo in ClosedAlgorithm::ALL {
                 let run = |pipeline: PipelineKind| {
-                    let ctx = MiningContext::with_engine_arc(shared.clone(), kind.clone());
+                    let ctx = MiningContext::with_engine_arc(shared.clone(), kind);
                     RuleMiner::new(MinSupport::Count(min_count))
                         .min_confidence(minconf)
                         .algorithm(algo)
@@ -201,7 +182,7 @@ proptest! {
     fn engine_and_horizontal_supports_agree(db in contexts(), ids in vec(0u32..9, 0..4)) {
         let x = Itemset::from_ids(ids);
         for kind in EngineKind::BACKENDS {
-            let ctx = MiningContext::with_engine(db.clone(), kind.clone());
+            let ctx = MiningContext::with_engine(db.clone(), kind);
             prop_assert_eq!(
                 ctx.engine().support(&x),
                 ctx.horizontal().support(&x),

@@ -23,7 +23,7 @@ use rulebases_dataset::{EngineKind, Itemset, MinSupport, TransactionDb};
 use std::collections::VecDeque;
 
 /// The batch schedules the streaming suite pins: row-at-a-time, a ragged
-/// prime, the 64-aligned shard quantum, and everything at once.
+/// prime, one whole 64-row bitset word, and everything at once.
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, usize::MAX];
 
 proptest! {
@@ -35,18 +35,12 @@ proptest! {
         window_kind in 0usize..3,
         window in 1usize..12,
         batch_idx in 0usize..4,
-        shards in 1usize..=3,
     ) {
         let batch = BATCH_SIZES[batch_idx].min(rows.len());
-        let mut grid: Vec<EngineKind> = EngineKind::BACKENDS.to_vec();
-        grid.push(EngineKind::Sharded {
-            shards,
-            inner: Box::new(EngineKind::Auto),
-        });
-        for kind in grid {
+        for kind in EngineKind::BACKENDS {
             let miner = RuleMiner::new(MinSupport::Count(1))
                 .min_confidence(0.5)
-                .engine(kind.clone());
+                .engine(kind);
             let mut stream = miner.clone().streaming(TransactionDb::from_rows(vec![]));
             match window_kind {
                 1 => stream.set_window(Window::Sliding(window)),

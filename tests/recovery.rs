@@ -23,13 +23,14 @@ use rulebases::checkpoint::{
     write_snapshot, CheckpointPolicy, CheckpointedMiner, FaultFs, RecoveryError,
 };
 use rulebases::{RuleMiner, StreamingMiner, Window};
+use rulebases_dataset::checksum::fnv1a64;
 use rulebases_dataset::{EngineKind, MinSupport, TransactionDb};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The batch schedules the streaming suite pins: row-at-a-time, a ragged
-/// prime, the 64-aligned shard quantum, and everything at once.
+/// prime, one whole 64-row bitset word, and everything at once.
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, usize::MAX];
 
 /// Deterministic correlated rows over 14 items (the streaming suite's
@@ -104,23 +105,17 @@ proptest! {
         n_rows in 4usize..40,
         batch_idx in 0usize..4,
         window_idx in 0usize..3,
-        shards in 1usize..=3,
         fold_every in 1usize..5,
     ) {
         let rows = census_rows(n_rows);
         let batch = BATCH_SIZES[batch_idx];
         let window = [Window::Unbounded, Window::Sliding(16), Window::Ttl(2)][window_idx];
-        let mut grid: Vec<EngineKind> = EngineKind::BACKENDS.to_vec();
-        grid.push(EngineKind::Sharded {
-            shards,
-            inner: Box::new(EngineKind::Auto),
-        });
-        for kind in grid {
+        for kind in EngineKind::BACKENDS {
             let label = format!("{kind} / batch {batch} / {window:?} / fold {fold_every}");
             let dir = TempDir::new("prop");
             let config = RuleMiner::new(MinSupport::Count(2))
                 .min_confidence(0.5)
-                .engine(kind.clone());
+                .engine(kind);
             let (ckpt, report) = config
                 .checkpointing(TransactionDb::from_rows(vec![]), dir.path())
                 .unwrap();
@@ -380,6 +375,50 @@ fn an_unknown_format_version_is_skipped_with_a_typed_reason() {
         .any(|s| s.contains("format version 9")));
     assert!(report.lost.is_none());
     assert_eq!(folded_payload(&recovered), full);
+}
+
+#[test]
+fn a_checkpoint_naming_a_removed_engine_is_rejected_with_a_typed_reason() {
+    // A well-framed, correctly checksummed checkpoint whose session
+    // names the deleted sharded backend: recovery must reject it by
+    // name — a typed error, never a panic.
+    let dir = TempDir::new("removed-engine");
+    let config = RuleMiner::new(MinSupport::Count(2))
+        .min_confidence(0.5)
+        .engine(EngineKind::Dense);
+    let (ckpt, _) = config
+        .checkpointing(TransactionDb::from_rows(census_rows(6)), dir.path())
+        .unwrap();
+    let path = dir
+        .path()
+        .join(format!("checkpoint-{:06}.ckpt", ckpt.generation()));
+    drop(ckpt);
+    let bytes = fs::read(&path).unwrap();
+    let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+    let header = std::str::from_utf8(&bytes[..nl]).unwrap();
+    let version = header.split(' ').nth(1).unwrap();
+    let payload = read_payload(&path);
+    assert!(payload.contains(r#""engine":"dense""#), "{payload}");
+    let payload = payload.replace(r#""engine":"dense""#, r#""engine":"sharded:2:auto""#);
+    let framed = format!(
+        "rulebases-ckpt {version} len={} fnv={:016x}\n{payload}",
+        payload.len(),
+        fnv1a64(payload.as_bytes())
+    );
+    fs::write(&path, framed).unwrap();
+
+    match CheckpointedMiner::recover(dir.path()) {
+        Err(RecoveryError::NoCheckpoint { rejected, .. }) => {
+            assert_eq!(rejected.len(), 1, "{rejected:?}");
+            assert!(
+                rejected[0].contains(r#"engine "sharded:2:auto""#)
+                    && rejected[0].contains("expected auto, dense, or tid-list"),
+                "{}",
+                rejected[0]
+            );
+        }
+        other => panic!("expected NoCheckpoint, got {other:?}"),
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! * **Index correctness.** `match_basket` is pinned against a
 //!   brute-force subset filter computed directly from `MinedBases`
 //!   (never through the snapshot's own index), across every engine
-//!   backend (the three serial ones plus a sharded configuration) ×
+//!   backend (dense and tid-list) ×
 //!   absolute and fractional thresholds × confidence levels. The linear
 //!   in-snapshot oracle, the top-k prefix property, and the
 //!   fewer-comparisons claim ride the same grid.
@@ -64,7 +64,6 @@ proptest! {
         fractional in 0usize..2,
         minconf_idx in 0usize..3,
         baskets in vec(vec(0u32..12, 0..6), 1..5),
-        shards in 1usize..=3,
     ) {
         let minsup = if fractional == 1 {
             MinSupport::Fraction(0.25)
@@ -72,15 +71,10 @@ proptest! {
             MinSupport::Count(min_count)
         };
         let minconf = [0.0, 0.5, 1.0][minconf_idx];
-        let mut grid: Vec<EngineKind> = EngineKind::BACKENDS.to_vec();
-        grid.push(EngineKind::Sharded {
-            shards,
-            inner: Box::new(EngineKind::Auto),
-        });
-        for kind in grid {
+        for kind in EngineKind::BACKENDS {
             let miner = RuleMiner::new(minsup)
                 .min_confidence(minconf)
-                .engine(kind.clone());
+                .engine(kind);
             let bases = miner.mine(TransactionDb::from_rows(rows.clone()));
             let expected_catalogue = served_rules(&bases);
             let snap = ServingSnapshot::from_bases(&bases, ServedBasis::Compact, 0);

@@ -19,7 +19,7 @@ use rulebases::{MinedBases, PipelineKind, RuleMiner};
 use rulebases_dataset::{EngineKind, MinSupport, MiningContext, TransactionDb};
 
 /// The batch schedules the issue calls out: row-at-a-time, a ragged
-/// prime, the 64-aligned shard quantum, and the whole database at once.
+/// prime, one whole 64-row bitset word, and the whole database at once.
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, usize::MAX];
 
 /// Deterministic correlated rows over 14 items: four attribute groups, so
@@ -114,7 +114,6 @@ proptest! {
         fractional in 0usize..2,
         minconf_idx in 0usize..3,
         batch_idx in 0usize..4,
-        shards in 1usize..=3,
     ) {
         // PR 4 computed each BasesDelta by materializing the full bases
         // before and after the batch and set-diffing them; that
@@ -129,15 +128,10 @@ proptest! {
         };
         let minconf = [0.0, 0.5, 1.0][minconf_idx];
         let batch = BATCH_SIZES[batch_idx];
-        let mut grid: Vec<EngineKind> = EngineKind::BACKENDS.to_vec();
-        grid.push(EngineKind::Sharded {
-            shards,
-            inner: Box::new(EngineKind::Auto),
-        });
-        for kind in grid {
+        for kind in EngineKind::BACKENDS {
             let miner = RuleMiner::new(minsup)
                 .min_confidence(minconf)
-                .engine(kind.clone());
+                .engine(kind);
             let fused = miner.clone().pipeline(PipelineKind::Fused);
             let mut stream = miner.streaming(TransactionDb::from_rows(vec![]));
             let mut seen = 0;
@@ -166,19 +160,13 @@ proptest! {
         min_count in 1u64..4,
         minconf_idx in 0usize..3,
         batch_idx in 0usize..4,
-        shards in 1usize..=4,
     ) {
         let minconf = [0.0, 0.5, 1.0][minconf_idx];
         let batch = BATCH_SIZES[batch_idx];
-        let mut grid: Vec<EngineKind> = EngineKind::BACKENDS.to_vec();
-        grid.push(EngineKind::Sharded {
-            shards,
-            inner: Box::new(EngineKind::Auto),
-        });
-        for kind in grid {
+        for kind in EngineKind::BACKENDS {
             let miner = RuleMiner::new(MinSupport::Count(min_count))
                 .min_confidence(minconf)
-                .engine(kind.clone());
+                .engine(kind);
             let oracle = miner
                 .clone()
                 .pipeline(PipelineKind::Fused)
@@ -257,7 +245,7 @@ fn streaming_uses_strictly_fewer_engine_calls_than_remining() {
 }
 
 /// The zero-copy acceptance pin at the session level: `push_batch`
-/// performs no full-CSR clone and no full-shard refresh — a 1-row append
+/// performs no full-CSR clone — a 1-row append
 /// against a 4096-row prefix copies a constant-bounded number of row
 /// bytes (the same number a 512-row prefix pays), every pre-append
 /// storage segment survives by identity, and a universe-growing append
@@ -305,8 +293,7 @@ fn auto_resolution_is_exposed_and_stable_across_batches() {
     let mut stream = miner.streaming(TransactionDb::from_rows(census_rows(32)));
     assert_eq!(stream.context().resolved_kind(), EngineKind::Dense);
     stream.push_batch(census_rows(16)).unwrap();
-    // A flat engine never re-resolves mid-stream (only the sharded
-    // backend re-evaluates its tail shard, tested in the dataset crate).
+    // An engine never re-resolves mid-stream.
     assert_eq!(stream.context().resolved_kind(), EngineKind::Dense);
     assert_eq!(stream.context().epoch(), 1);
 

@@ -20,7 +20,7 @@ use rulebases::{MinedBases, PipelineKind, RuleMiner, Window};
 use rulebases_dataset::{EngineKind, MinSupport, TransactionDb};
 
 /// The batch schedules the streaming suite pins: row-at-a-time, a ragged
-/// prime, the 64-aligned shard quantum, and everything at once.
+/// prime, one whole 64-row bitset word, and everything at once.
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, usize::MAX];
 
 /// Deterministic correlated rows over 14 items (the streaming suite's
@@ -71,7 +71,6 @@ proptest! {
         fractional in 0usize..2,
         minconf_idx in 0usize..3,
         batch_idx in 0usize..4,
-        shards in 1usize..=3,
     ) {
         let minsup = if fractional == 1 {
             MinSupport::Fraction(0.25)
@@ -80,15 +79,10 @@ proptest! {
         };
         let minconf = [0.0, 0.5, 1.0][minconf_idx];
         let batch = BATCH_SIZES[batch_idx];
-        let mut grid: Vec<EngineKind> = EngineKind::BACKENDS.to_vec();
-        grid.push(EngineKind::Sharded {
-            shards,
-            inner: Box::new(EngineKind::Auto),
-        });
-        for kind in grid {
+        for kind in EngineKind::BACKENDS {
             let miner = RuleMiner::new(minsup)
                 .min_confidence(minconf)
-                .engine(kind.clone());
+                .engine(kind);
             let fused = miner.clone().pipeline(PipelineKind::Fused);
             let mut stream = miner
                 .streaming(TransactionDb::from_rows(vec![]))
