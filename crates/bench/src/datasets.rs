@@ -288,6 +288,53 @@ mod tests {
     }
 
     #[test]
+    fn pair_pass_decision_on_the_stand_ins() {
+        use rulebases_dataset::engine::{DenseEngine, TidListEngine};
+        use rulebases_dataset::Itemset;
+        use std::sync::Arc;
+        let pairs_of = |items: &[u32]| -> Vec<Itemset> {
+            items
+                .iter()
+                .enumerate()
+                .flat_map(|(k, &a)| {
+                    items[k + 1..]
+                        .iter()
+                        .map(move |&b| Itemset::from_ids([a, b]))
+                })
+                .collect()
+        };
+
+        // T10I4D100K* at 10,000 rows: Close's pair level at minsup 0.01
+        // (every pair of frequent items) is counted in one pass over the
+        // rows on both backends.
+        let sparse = Arc::new(StandIn::T10I4.generate(Scale::Default));
+        assert_eq!(sparse.n_transactions(), 10_000);
+        let min_count = (0.01 * sparse.n_transactions() as f64).ceil() as u64;
+        let frequent: Vec<u32> = (0..sparse.n_items() as u32)
+            .filter(|&i| sparse.support(&Itemset::from_ids([i])) >= min_count)
+            .collect();
+        let pairs = pairs_of(&frequent);
+        assert!(pairs.len() > 10_000, "{} pairs", pairs.len());
+        assert!(DenseEngine::from_horizontal(&sparse).takes_pair_pass(&pairs));
+        assert!(TidListEngine::from_horizontal(&sparse).takes_pair_pass(&pairs));
+
+        // The census stand-in (2,000 rows) on its top 16 items, the
+        // served re-mine's input: `Auto` picks dense bitsets, which
+        // intersect its 120 pairs one cover at a time — 32 words each.
+        let census = Arc::new(TransactionDb::from_rows(project_top_items(
+            &census_like(2_000, 20, 0xC20),
+            16,
+        )));
+        let items: Vec<u32> = (0..census.n_items() as u32)
+            .filter(|&i| census.support(&Itemset::from_ids([i])) > 0)
+            .collect();
+        let pairs = pairs_of(&items);
+        assert_eq!(pairs.len(), 120);
+        assert_eq!(EngineKind::Auto.select(&census), EngineKind::Dense);
+        assert!(!DenseEngine::from_horizontal(&census).takes_pair_pass(&pairs));
+    }
+
+    #[test]
     fn generation_is_deterministic() {
         let a = StandIn::C20D10K.generate(Scale::Test);
         let b = StandIn::C20D10K.generate(Scale::Test);

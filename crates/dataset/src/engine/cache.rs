@@ -28,15 +28,17 @@ pub struct CacheStats {
     /// Times the cache hit capacity and was wiped.
     pub evictions: u64,
     /// Extent queries passed through uncached (`tidset_of`, per-item
-    /// `cover` materializations, and one-item `extend_tidset`
-    /// refinements).
+    /// `cover` materializations, one-item `extend_tidset` refinements, and
+    /// one per candidate of a `close_candidates` batch — whether the
+    /// backend builds that extent or rules the candidate out in its pair
+    /// pass).
     pub extents: u64,
     /// Support queries passed through uncached (`support` plus one per
     /// candidate in a `count_candidates` batch).
     pub supports: u64,
-    /// Intent computations passed through uncached (`closure_of_tidset`
-    /// — the closure primitive the levelwise miners drive directly from
-    /// an extent they already hold).
+    /// Intent computations passed through uncached (`closure_of_tidset`,
+    /// plus one per candidate a `close_candidates` batch closes — the
+    /// frequent ones).
     pub intents: u64,
     /// Bytes of horizontal row storage (CSR items + offsets) this engine
     /// stack copied into engine structures while absorbing append deltas
@@ -265,6 +267,22 @@ impl SupportEngine for CachedEngine {
         self.inner.count_candidates(candidates)
     }
 
+    /// Passes the batch through uncached, tallying what the per-candidate
+    /// path (`tidset_of` → `count` → `closure_of_tidset`) would: one
+    /// extent per candidate and one intent per candidate returned.
+    fn close_candidates<'c>(
+        &self,
+        candidates: &'c [Itemset],
+        min_count: Support,
+    ) -> Vec<(&'c Itemset, Itemset, Support)> {
+        let closed = self.inner.close_candidates(candidates, min_count);
+        self.extents
+            .fetch_add(candidates.len() as u64, Ordering::Relaxed);
+        self.intents
+            .fetch_add(closed.len() as u64, Ordering::Relaxed);
+        closed
+    }
+
     /// This cache layer's counters. `bytes_copied` is the backend's: the
     /// cache layer itself never copies row storage, so the backend's
     /// delta-copy tally passes through.
@@ -352,14 +370,21 @@ mod tests {
         let _ = engine.extend_tidset(&extent, Item::new(3));
         let _ = engine.closure_of_tidset(&extent);
         let _ = engine.count_candidates(&[probe.clone(), Itemset::from_ids([3])]);
+        // {B, E} (support 4) is closed, {D, E} (support 0) is not.
+        let batch = [probe.clone(), Itemset::from_ids([4, 5])];
+        let closed = engine.close_candidates(&batch, 1);
+        assert_eq!(closed, vec![(&probe, probe.clone(), 4)]);
         let stats = engine.cache_stats();
         // No closure lookup was asked: the cache itself stays empty...
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 0, 0));
         // ...but the pass-through work is tallied.
-        assert_eq!(stats.extents, 4, "2× tidset_of + cover + extend");
+        assert_eq!(
+            stats.extents, 6,
+            "2× tidset_of + cover + extend + 2-candidate close"
+        );
         assert_eq!(stats.supports, 3, "support + 2-candidate batch");
-        assert_eq!(stats.intents, 1, "closure_of_tidset");
-        assert_eq!(stats.engine_calls(), 8);
+        assert_eq!(stats.intents, 2, "closure_of_tidset + 1 closed candidate");
+        assert_eq!(stats.engine_calls(), 11);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The dense bitset backend.
 
 use super::delta::{check_epoch, DeltaError, DeltaSupportEngine, TxDelta};
-use super::{intent_of, CacheStats, EngineKind, SupportEngine};
+use super::{close_level, intent_of, CacheStats, EngineKind, PairPass, SupportEngine};
 use crate::bitset::BitSet;
 use crate::item::Item;
 use crate::itemset::Itemset;
@@ -14,8 +14,11 @@ use std::sync::Arc;
 /// [`SupportEngine`] interface.
 ///
 /// Support counting is word-wise `AND` + popcount; closure goes through
-/// merge-intersection of the extent's transactions. The robust default
-/// for everything that is not extremely sparse or near-saturated.
+/// merge-intersection of the extent's transactions, down to the
+/// generator floor. An all-pairs batch is counted in one pass over the
+/// rows when that costs less than `candidates × ⌈|O|/64⌉` words of cover
+/// intersections (see the [module docs](super)). The robust default for
+/// everything that is not extremely sparse or near-saturated.
 ///
 /// Append batches extend the covers in place: each bitset widens by the
 /// appended rows and only the delta's bits are inserted (see
@@ -46,6 +49,19 @@ impl DenseEngine {
     /// The underlying vertical store.
     pub fn vertical(&self) -> &VerticalDb {
         &self.vertical
+    }
+
+    /// Whether [`SupportEngine::count_candidates`] and
+    /// [`SupportEngine::close_candidates`] count `candidates` in one pass
+    /// over the rows rather than one cover intersection at a time.
+    pub fn takes_pair_pass(&self, candidates: &[Itemset]) -> bool {
+        self.pair_pass(candidates).is_some()
+    }
+
+    fn pair_pass(&self, candidates: &[Itemset]) -> Option<PairPass> {
+        PairPass::plan(&self.horizontal, candidates, || {
+            candidates.len() as f64 * self.n_objects().div_ceil(64) as f64
+        })
     }
 }
 
@@ -115,9 +131,31 @@ impl SupportEngine for DenseEngine {
     }
 
     fn count_candidates(&self, candidates: &[Itemset]) -> Vec<Support> {
-        // Cache-blocked: candidate×row tiles reuse resident cover blocks
-        // (see [`VerticalDb::count_candidates`]).
-        self.vertical.count_candidates(candidates)
+        match self.pair_pass(candidates) {
+            Some(pass) => {
+                let counts = pass.count(&self.horizontal);
+                candidates.iter().map(|pair| counts.support(pair)).collect()
+            }
+            // Cache-blocked: candidate×row tiles reuse resident cover
+            // blocks (see [`VerticalDb::count_candidates`]).
+            None => self.vertical.count_candidates(candidates),
+        }
+    }
+
+    fn close_candidates<'c>(
+        &self,
+        candidates: &'c [Itemset],
+        min_count: Support,
+    ) -> Vec<(&'c Itemset, Itemset, Support)> {
+        let pass = self.pair_pass(candidates);
+        close_level(&self.horizontal, candidates, min_count, pass, |candidate| {
+            let extent = self.vertical.extent(candidate);
+            let support = extent.count() as Support;
+            (support >= min_count).then(|| {
+                let floor = candidate.len();
+                (intent_of(&self.horizontal, extent.iter(), floor), support)
+            })
+        })
     }
 
     fn item_supports(&self) -> Vec<Support> {
@@ -125,7 +163,16 @@ impl SupportEngine for DenseEngine {
     }
 
     fn closure_of_tidset(&self, tidset: &BitSet) -> Itemset {
-        intent_of(&self.horizontal, tidset)
+        intent_of(&self.horizontal, tidset.iter(), 0)
+    }
+
+    fn closure_and_support(&self, itemset: &Itemset) -> (Itemset, Support) {
+        let extent = self.vertical.extent(itemset);
+        let support = extent.count() as Support;
+        (
+            intent_of(&self.horizontal, extent.iter(), itemset.len()),
+            support,
+        )
     }
 
     fn cache_stats(&self) -> CacheStats {

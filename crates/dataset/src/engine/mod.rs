@@ -31,6 +31,34 @@
 //! spawn threads: parallel mining fans whole candidate levels over
 //! chunks instead (see [`crate::pool`]).
 //!
+//! # Close's level step
+//!
+//! Besides the point queries, [`SupportEngine::close_candidates`] answers
+//! one whole candidate level at once: given the candidates and a
+//! threshold, it returns `(closure, support)` for every candidate that
+//! reaches it and nothing for the rest. Both backends answer it with two
+//! mechanisms:
+//!
+//! * **The pair pass.** When every candidate is a 2-itemset, one pass
+//!   over the horizontal rows adds each pair of batch items a row holds
+//!   into a triangular `u32` array over the items the batch mentions;
+//!   extents are then built for the frequent pairs only.
+//!   [`SupportEngine::count_candidates`] takes the same pass. The pass is
+//!   taken only when it costs less than the per-candidate intersections,
+//!   a rule that reads nothing but the relation and the batch: the pass
+//!   costs `rows × L̄(L̄−1)/2` (with `L̄` the mean row length) plus the
+//!   triangle's cells; answering per candidate costs `candidates ×
+//!   ⌈rows/64⌉` words on dense bitsets and the sum of the candidates'
+//!   cover lengths on tid-lists. Wide pair levels over many short rows
+//!   (sparse baskets) take the pass; small or dense relations, where one
+//!   cover is a few words, keep the per-candidate path.
+//! * **The generator floor.** Every row of `g(X)` contains `X`, so
+//!   `h(X) ⊇ X`: an intent merged from the extent of a known `X` stops
+//!   intersecting rows once it has shrunk to `|X|` items. The backends'
+//!   [`SupportEngine::closure`] and [`SupportEngine::closure_and_support`]
+//!   stop there too; [`SupportEngine::closure_of_tidset`], which knows no
+//!   generator, visits every row of its tidset as before.
+//!
 //! # Streaming
 //!
 //! Every backend is *delta-aware*, in both directions: when transactions
@@ -88,7 +116,10 @@ use std::sync::Arc;
 ///
 /// Implementations must be consistent: for every itemset `X`,
 /// `support(X) == tidset_of(X).count()` and
-/// `closure(X) == closure_of_tidset(&tidset_of(X))`.
+/// `closure(X) == closure_of_tidset(&tidset_of(X))`; and for every batch,
+/// `close_candidates(candidates, min_count)` lists, in candidate order,
+/// `(X, closure_of_tidset(&t), t.count())` with `t = tidset_of(X)` for
+/// exactly the candidates `X` with `t.count() >= min_count`.
 pub trait SupportEngine: fmt::Debug + Send + Sync {
     /// Stable backend identifier for reports and benchmarks.
     fn name(&self) -> &'static str;
@@ -150,10 +181,12 @@ pub trait SupportEngine: fmt::Debug + Send + Sync {
 
     /// The Galois closure `h(X) = f(g(X))`.
     fn closure(&self, itemset: &Itemset) -> Itemset {
-        self.closure_of_tidset(&self.tidset_of(itemset))
+        self.closure_and_support(itemset).0
     }
 
-    /// Closure and support in one pass over the extent.
+    /// Closure and support in one pass over the extent. The backends
+    /// stop merging rows at the generator floor `|X|` (see the module
+    /// docs).
     fn closure_and_support(&self, itemset: &Itemset) -> (Itemset, Support) {
         let tidset = self.tidset_of(itemset);
         let support = tidset.count() as Support;
@@ -162,10 +195,25 @@ pub trait SupportEngine: fmt::Debug + Send + Sync {
 
     /// Batch support counting for a candidate level. The default maps
     /// [`SupportEngine::support`]; backends may reuse partial
-    /// intersections across candidates.
+    /// intersections across candidates, and count an all-pairs batch in
+    /// one pass over the rows when that is cheaper (see the module docs).
     fn count_candidates(&self, candidates: &[Itemset]) -> Vec<Support> {
         candidates.iter().map(|c| self.support(c)).collect()
     }
+
+    /// Close's level step: `(X, h(X), supp X)` for every candidate `X`
+    /// with `supp X >= min_count`, in candidate order, and nothing for the
+    /// rest. Equal to `tidset_of` → `count` → `closure_of_tidset` per
+    /// candidate, kept at `min_count` (see the consistency contract
+    /// above), but answered as one batch: an all-pairs level is counted in
+    /// one pass over the rows when that is cheaper, so extents are built
+    /// for its frequent pairs only, and every intent stops at its
+    /// candidate's size (see the module docs).
+    fn close_candidates<'c>(
+        &self,
+        candidates: &'c [Itemset],
+        min_count: Support,
+    ) -> Vec<(&'c Itemset, Itemset, Support)>;
 
     /// Closure-cache statistics, when the engine carries a cache (see
     /// [`CachedEngine`]). Plain backends report zeros everywhere except
@@ -176,25 +224,164 @@ pub trait SupportEngine: fmt::Debug + Send + Sync {
     }
 }
 
-/// Computes the intent of `tidset` by merge-intersecting horizontal
-/// transactions — the closure path shared by every backend.
+/// Computes the intent of the objects `tids` (ascending) by
+/// merge-intersecting their horizontal transactions — the closure path
+/// shared by every backend.
 ///
-/// Cost is `O(|T| · avg|t|)`, which beats per-item cover subset tests
-/// whenever extents are small (the common case once mining is below the
-/// first levels).
-pub(crate) fn intent_of(db: &TransactionDb, tidset: &BitSet) -> Itemset {
-    let mut ones = tidset.iter();
-    let Some(first) = ones.next() else {
+/// `floor` is the size of the itemset `X` whose extent `tids` is, or 0 for
+/// an arbitrary object set. Every row of `g(X)` contains `X`, so the
+/// intent never shrinks below `|X|`, and once it is down to `|X|` items it
+/// *is* `X`: the merge stops there instead of visiting every row (the
+/// generator floor). An empty `tids` yields the universe whatever the
+/// floor. Cost is `O(|T| · avg|t|)` at most, which beats per-item cover
+/// subset tests whenever extents are small (the common case once mining
+/// is below the first levels).
+pub(crate) fn intent_of(
+    db: &TransactionDb,
+    tids: impl IntoIterator<Item = usize>,
+    floor: usize,
+) -> Itemset {
+    let mut tids = tids.into_iter();
+    let Some(first) = tids.next() else {
         return Itemset::universe(db.n_items());
     };
     let mut intent = Itemset::from_sorted(db.transaction(first).to_vec());
-    for t in ones {
-        if intent.is_empty() {
+    for t in tids {
+        if intent.len() <= floor {
             break;
         }
         intent.intersect_with(db.transaction(t));
     }
     intent
+}
+
+/// An all-pairs candidate batch counted in one pass over the horizontal
+/// rows: every pair of batch items a row holds is added into a triangular
+/// `u32` array over the items the batch mentions. Shared by both backends'
+/// [`SupportEngine::count_candidates`] and
+/// [`SupportEngine::close_candidates`].
+pub(crate) struct PairPass {
+    /// Triangle index of each item the batch mentions (numbered in item
+    /// order, so a sorted row maps to ascending indices), [`PairPass::NONE`]
+    /// for every other item of the universe.
+    index: Vec<u32>,
+    mentioned: usize,
+}
+
+impl PairPass {
+    const NONE: u32 = u32::MAX;
+
+    /// Plans the pass for `candidates` over `db`. `None` unless every
+    /// candidate is a 2-itemset and the pass costs less than
+    /// `per_candidate`, the backend's cost of answering the batch one
+    /// extent at a time: the pass costs `rows × L̄(L̄−1)/2` pair visits
+    /// (`L̄` the mean row length) plus the triangle's cells.
+    pub(crate) fn plan(
+        db: &TransactionDb,
+        candidates: &[Itemset],
+        per_candidate: impl FnOnce() -> f64,
+    ) -> Option<PairPass> {
+        if candidates.is_empty()
+            || candidates.iter().any(|c| c.len() != 2)
+            || u32::try_from(db.n_transactions()).is_err()
+        {
+            return None;
+        }
+        let mut index = vec![Self::NONE; db.n_items()];
+        for item in candidates.iter().flat_map(Itemset::iter) {
+            if let Some(slot) = index.get_mut(item.index()) {
+                *slot = 0;
+            }
+        }
+        let mut mentioned = 0;
+        for slot in index.iter_mut().filter(|slot| **slot != Self::NONE) {
+            *slot = mentioned as u32;
+            mentioned += 1;
+        }
+        let len = db.avg_transaction_len();
+        let pass = db.n_transactions() as f64 * (len * (len - 1.0) / 2.0).max(0.0)
+            + triangle(mentioned) as f64;
+        (pass < per_candidate()).then_some(PairPass { index, mentioned })
+    }
+
+    /// Takes the pass: counts every pair of mentioned items over `db`.
+    pub(crate) fn count(self, db: &TransactionDb) -> PairCounts {
+        let mut cells = vec![0u32; triangle(self.mentioned)];
+        let mut held: Vec<usize> = Vec::new();
+        for row in db.iter() {
+            held.clear();
+            held.extend(
+                row.iter()
+                    .map(|item| self.index[item.index()])
+                    .filter(|&slot| slot != Self::NONE)
+                    .map(|slot| slot as usize),
+            );
+            for (k, &a) in held.iter().enumerate() {
+                let cells_of_a = &mut cells[self.row_start(a)..];
+                for &b in &held[k + 1..] {
+                    cells_of_a[b - a - 1] += 1;
+                }
+            }
+        }
+        PairCounts { pass: self, cells }
+    }
+
+    /// Row `a` of the triangle starts at `a·(2m − a − 1)/2`; the pair
+    /// `(a, b)`, `a < b`, sits `b − a − 1` cells into it.
+    fn row_start(&self, a: usize) -> usize {
+        a * (2 * self.mentioned - a - 1) / 2
+    }
+}
+
+/// The triangle a [`PairPass`] filled, read one pair at a time.
+pub(crate) struct PairCounts {
+    pass: PairPass,
+    cells: Vec<u32>,
+}
+
+impl PairCounts {
+    /// The support of a 2-itemset of the planned batch; 0 when it names
+    /// an item outside the universe.
+    pub(crate) fn support(&self, pair: &Itemset) -> Support {
+        let slot = |item: Item| match self.pass.index.get(item.index()) {
+            Some(&slot) if slot != PairPass::NONE => Some(slot as usize),
+            _ => None,
+        };
+        match (slot(pair.as_slice()[0]), slot(pair.as_slice()[1])) {
+            (Some(a), Some(b)) => Support::from(self.cells[self.pass.row_start(a) + b - a - 1]),
+            _ => 0,
+        }
+    }
+}
+
+/// Cells of a strict triangle over `m` items: `m(m−1)/2`.
+fn triangle(m: usize) -> usize {
+    m * m.saturating_sub(1) / 2
+}
+
+/// Close's level step on a backend: candidates the pair pass (when the
+/// backend takes it) counted below `min_count` are dropped without an
+/// extent, and `close_one` answers every other candidate from its own
+/// extent — `(h(X), supp X)`, or `None` below `min_count`.
+pub(crate) fn close_level<'c>(
+    db: &TransactionDb,
+    candidates: &'c [Itemset],
+    min_count: Support,
+    pass: Option<PairPass>,
+    close_one: impl Fn(&Itemset) -> Option<(Itemset, Support)>,
+) -> Vec<(&'c Itemset, Itemset, Support)> {
+    let counts = pass.map(|pass| pass.count(db));
+    candidates
+        .iter()
+        .filter(|candidate| {
+            counts
+                .as_ref()
+                .is_none_or(|counts| counts.support(candidate) >= min_count)
+        })
+        .filter_map(|candidate| {
+            close_one(candidate).map(|(closure, support)| (candidate, closure, support))
+        })
+        .collect()
 }
 
 /// Which [`SupportEngine`] backend to build for a context.
@@ -377,6 +564,22 @@ mod tests {
         }
     }
 
+    /// 600 short rows over 40 items (some empty): a wide pair level over
+    /// many short rows, where both backends take the pair pass.
+    fn sparse_rows() -> Arc<TransactionDb> {
+        Arc::new(TransactionDb::from_rows(
+            (0..600u32)
+                .map(|t| (0..t % 4).map(|k| (t * 7 + k * 13) % 40).collect())
+                .collect(),
+        ))
+    }
+
+    fn all_pairs(items: u32) -> Vec<Itemset> {
+        (0..items)
+            .flat_map(|a| (a + 1..items).map(move |b| set(&[a, b])))
+            .collect()
+    }
+
     #[test]
     fn batch_counting_matches_pointwise() {
         let candidates = vec![set(&[1, 3]), set(&[2, 5]), set(&[4, 5]), set(&[3])];
@@ -384,6 +587,47 @@ mod tests {
             let batch = engine.count_candidates(&candidates);
             let pointwise: Vec<Support> = candidates.iter().map(|c| engine.support(c)).collect();
             assert_eq!(batch, pointwise, "{}", engine.name());
+        }
+        // An all-pairs batch over many short rows goes through the pair
+        // pass on both backends (pairs past the universe included).
+        let db = sparse_rows();
+        let mut pairs = all_pairs(40);
+        pairs.push(set(&[3, 45]));
+        assert!(DenseEngine::from_horizontal(&db).takes_pair_pass(&pairs));
+        assert!(TidListEngine::from_horizontal(&db).takes_pair_pass(&pairs));
+        for kind in EngineKind::BACKENDS {
+            let engine = kind.build(&db);
+            let batch = engine.count_candidates(&pairs);
+            let pointwise: Vec<Support> = pairs.iter().map(|c| engine.support(c)).collect();
+            assert_eq!(batch, pointwise, "{kind}");
+            assert!(batch.iter().any(|&n| n > 0), "{kind}: a vacuous batch");
+        }
+    }
+
+    #[test]
+    fn the_generator_floor_never_changes_an_intent() {
+        // Pseudo-random probes over the paper example and the sparse rows,
+        // out-of-universe items (empty extents) included.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for db in [Arc::new(paper_example()), sparse_rows()] {
+            let vertical = crate::vertical::VerticalDb::from_horizontal(&db);
+            let span = db.n_items() as u64 + 2;
+            for _ in 0..300 {
+                let len = next(4);
+                let x = Itemset::from_ids((0..len).map(|_| next(span) as u32));
+                let extent = vertical.extent(&x);
+                let floored = intent_of(&db, extent.iter(), x.len());
+                assert_eq!(floored, intent_of(&db, extent.iter(), 0), "{x:?}");
+                if extent.is_empty() {
+                    assert_eq!(floored, Itemset::universe(db.n_items()), "{x:?}");
+                }
+            }
         }
     }
 

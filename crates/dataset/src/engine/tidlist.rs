@@ -2,7 +2,7 @@
 //! `rulebases_mining::tidlist::TidListDb`).
 
 use super::delta::{check_epoch, DeltaError, DeltaSupportEngine, TxDelta};
-use super::{intent_of, CacheStats, EngineKind, SupportEngine};
+use super::{close_level, intent_of, CacheStats, EngineKind, PairPass, SupportEngine};
 use crate::bitset::BitSet;
 use crate::item::Item;
 use crate::itemset::Itemset;
@@ -35,6 +35,10 @@ pub fn intersect_count(a: &[u32], b: &[u32]) -> usize {
 /// Intersection cost scales with the cover sizes rather than with
 /// `|O|/64` words, so this backend wins when covers are tiny relative to
 /// the object count — very sparse basket data over many transactions.
+/// An all-pairs batch is counted in one pass over the rows when that
+/// costs less than the sum of the candidates' cover lengths (see the
+/// [module docs](super)); closures merge rows down to the generator
+/// floor.
 ///
 /// Append batches are sorted tail appends: every new transaction id is
 /// larger than everything already listed, so extending a cover is a push.
@@ -99,6 +103,27 @@ impl TidListEngine {
 
     fn tids_to_bitset(&self, tids: &[u32]) -> BitSet {
         BitSet::from_indices(self.n_objects, tids.iter().map(|&t| t as usize))
+    }
+
+    fn intent_of_tids(&self, tids: &[u32], floor: usize) -> Itemset {
+        intent_of(&self.horizontal, tids.iter().map(|&t| t as usize), floor)
+    }
+
+    /// Whether [`SupportEngine::count_candidates`] and
+    /// [`SupportEngine::close_candidates`] count `candidates` in one pass
+    /// over the rows rather than one tid-list intersection at a time.
+    pub fn takes_pair_pass(&self, candidates: &[Itemset]) -> bool {
+        self.pair_pass(candidates).is_some()
+    }
+
+    fn pair_pass(&self, candidates: &[Itemset]) -> Option<PairPass> {
+        PairPass::plan(&self.horizontal, candidates, || {
+            candidates
+                .iter()
+                .flat_map(Itemset::iter)
+                .map(|item| self.tid_cover(item).len() as f64)
+                .sum()
+        })
     }
 }
 
@@ -195,6 +220,10 @@ impl SupportEngine for TidListEngine {
     }
 
     fn count_candidates(&self, candidates: &[Itemset]) -> Vec<Support> {
+        if let Some(pass) = self.pair_pass(candidates) {
+            let counts = pass.count(&self.horizontal);
+            return candidates.iter().map(|pair| counts.support(pair)).collect();
+        }
         // Levelwise generation emits candidates in lexicographic order,
         // so runs of them share a (k-1)-prefix: materialize each prefix
         // extent once and count every candidate of the run with one
@@ -223,8 +252,29 @@ impl SupportEngine for TidListEngine {
         self.covers.iter().map(|c| c.len() as Support).collect()
     }
 
+    fn close_candidates<'c>(
+        &self,
+        candidates: &'c [Itemset],
+        min_count: Support,
+    ) -> Vec<(&'c Itemset, Itemset, Support)> {
+        let pass = self.pair_pass(candidates);
+        close_level(&self.horizontal, candidates, min_count, pass, |candidate| {
+            let tids = self.extent_tids(candidate);
+            let support = tids.len() as Support;
+            (support >= min_count).then(|| (self.intent_of_tids(&tids, candidate.len()), support))
+        })
+    }
+
     fn closure_of_tidset(&self, tidset: &BitSet) -> Itemset {
-        intent_of(&self.horizontal, tidset)
+        intent_of(&self.horizontal, tidset.iter(), 0)
+    }
+
+    fn closure_and_support(&self, itemset: &Itemset) -> (Itemset, Support) {
+        let tids = self.extent_tids(itemset);
+        (
+            self.intent_of_tids(&tids, itemset.len()),
+            tids.len() as Support,
+        )
     }
 
     fn cache_stats(&self) -> CacheStats {

@@ -181,23 +181,25 @@ where
 /// the per-chunk results in input order.
 ///
 /// This is the levelwise-mining fan-out: `f` is typically a batch
-/// operation (e.g. [`SupportEngine::count_candidates`] over a slice of a
-/// candidate level) that returns one result per input item, so the
-/// concatenation lines up index-for-index with `items`. With
-/// `threads <= 1` (or fewer than two items) `f` runs once, inline, over
-/// the whole slice — the degenerate path is byte-for-byte the sequential
-/// algorithm.
+/// operation over a slice of a candidate level, returning one result per
+/// input item (e.g. [`SupportEngine::count_candidates`], whose
+/// concatenation lines up index-for-index with `items`) or one per item
+/// that passes a test, borrowing the item (e.g.
+/// [`SupportEngine::close_candidates`]). With `threads <= 1` (or fewer
+/// than two items) `f` runs once, inline, over the whole slice — the
+/// degenerate path is byte-for-byte the sequential algorithm.
 ///
 /// [`SupportEngine::count_candidates`]: crate::SupportEngine::count_candidates
+/// [`SupportEngine::close_candidates`]: crate::SupportEngine::close_candidates
 ///
 /// # Panics
 ///
 /// Propagates a panic from any worker.
-pub fn parallel_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+pub fn parallel_chunks<'a, T, R, F>(items: &'a [T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
+    F: Fn(&'a [T]) -> Vec<R> + Sync,
 {
     let n_chunks = threads.min(items.len());
     if n_chunks <= 1 {
@@ -209,9 +211,13 @@ where
             .chunks(chunk_len)
             .map(|chunk| spawn(scope, || f(chunk)))
             .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for handle in handles {
-            out.extend(handle.join().expect("parallel worker panicked"));
+        let parts: Vec<Vec<R>> = handles
+            .into_iter()
+            .map(|handle| handle.join().expect("parallel worker panicked"))
+            .collect();
+        let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for part in parts {
+            out.extend(part);
         }
         out
     })

@@ -562,3 +562,95 @@ fn universe_growth_rewrites_no_segment() {
         assert_eq!(engine.support(&Itemset::from_ids([1])), 73);
     }
 }
+
+/// `close_candidates` as the consistency contract spells it out:
+/// `tidset_of` → `count` → `closure_of_tidset`, kept at `min_count`.
+fn close_reference<'c>(
+    engine: &dyn SupportEngine,
+    candidates: &'c [Itemset],
+    min_count: u64,
+) -> Vec<(&'c Itemset, Itemset, u64)> {
+    candidates
+        .iter()
+        .filter_map(|c| {
+            let extent = engine.tidset_of(c);
+            let support = extent.count() as u64;
+            (support >= min_count).then(|| (c, engine.closure_of_tidset(&extent), support))
+        })
+        .collect()
+}
+
+fn all_pairs(items: u32) -> Vec<Itemset> {
+    (0..items)
+        .flat_map(|a| (a + 1..items).map(move |b| Itemset::from_ids([a, b])))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // ---- Close's level step ---------------------------------------------
+
+    #[test]
+    fn close_candidates_equal_the_per_candidate_reference(
+        short_rows in vec(vec(0u32..24, 0..4), 200..400),
+        drops in vec(vec(0u32..12, 0..3), 2..12),
+        extras in vec(vec(0u32..30, 0..4), 0..8),
+        threshold in 0u64..6,
+    ) {
+        // Both sides of the pair-pass rule, on both backends. Sparse
+        // side: many short rows (some empty) and the full pair level over
+        // 24 items plus a pair past the universe — both backends count it
+        // in one pass. Dense side: few long rows, each the 12-item
+        // universe minus at most two items — dense bitsets keep the
+        // per-candidate path on the full pair level, tid-lists on a
+        // narrow one. Mixed batches (∅, singletons, triples, items past
+        // the universe) and the empty batch never take the pass.
+        // Thresholds run from 0 to past |O|.
+        let sparse = Arc::new(TransactionDb::from_rows(short_rows));
+        let dense = Arc::new(TransactionDb::from_rows(
+            drops
+                .iter()
+                .map(|d| (0..12).filter(|i| !d.contains(i)).collect())
+                .collect(),
+        ));
+        let mut wide = all_pairs(24);
+        wide.push(Itemset::from_ids([5, 27]));
+        let narrow = vec![Itemset::from_ids([0, 1]), Itemset::from_ids([2, 7])];
+        let mut mixed = vec![Itemset::empty(), Itemset::from_ids([3])];
+        mixed.extend(extras.into_iter().map(Itemset::from_ids));
+
+        prop_assert!(DenseEngine::from_horizontal(&sparse).takes_pair_pass(&wide));
+        prop_assert!(TidListEngine::from_horizontal(&sparse).takes_pair_pass(&wide));
+        prop_assert!(!DenseEngine::from_horizontal(&dense).takes_pair_pass(&all_pairs(12)));
+        prop_assert!(!TidListEngine::from_horizontal(&dense).takes_pair_pass(&narrow));
+        prop_assert!(!DenseEngine::from_horizontal(&sparse).takes_pair_pass(&mixed));
+
+        let cases = [
+            (&sparse, vec![wide, mixed.clone(), Vec::new()]),
+            (&dense, vec![all_pairs(12), narrow, mixed]),
+        ];
+        for (db, batches) in cases {
+            let n = db.n_transactions() as u64;
+            for kind in EngineKind::BACKENDS {
+                let engine = kind.build(db);
+                let cached = CachedEngine::new(kind.build(db));
+                for batch in &batches {
+                    for min_count in [0, threshold, n / 4, n + 1] {
+                        let expected = close_reference(&*engine, batch, min_count);
+                        prop_assert_eq!(
+                            &engine.close_candidates(batch, min_count), &expected,
+                            "{} at {}", kind, min_count
+                        );
+                        prop_assert_eq!(
+                            &cached.close_candidates(batch, min_count), &expected,
+                            "cached {} at {}", kind, min_count
+                        );
+                    }
+                    let pointwise: Vec<u64> = batch.iter().map(|c| engine.support(c)).collect();
+                    prop_assert_eq!(engine.count_candidates(batch), pointwise, "{} batch", kind);
+                }
+            }
+        }
+    }
+}

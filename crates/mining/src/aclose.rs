@@ -88,7 +88,9 @@ impl AClose {
         stats.db_passes += 1;
         let close_one = |(g, support): &(&Itemset, Support)| (engine.closure(g), *support);
         let gens: Vec<(&Itemset, Support)> = generators.iter().collect();
-        let pairs: Vec<(Itemset, Support)> = map_level(self.parallelism, &gens, close_one);
+        let pairs: Vec<(Itemset, Support)> = map_level(self.parallelism, &gens, |chunk| {
+            chunk.iter().map(close_one).collect()
+        });
         for ((generator, _), (closure, support)) in gens.iter().zip(&pairs) {
             sink.accept(closure, *support, Some(generator));
         }

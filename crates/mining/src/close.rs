@@ -9,21 +9,30 @@
 //! redundant). Because closures jump ahead of the levelwise frontier,
 //! Close needs far fewer database passes than Apriori on correlated data —
 //! the efficiency claim of the paper family.
+//!
+//! In the paper, one pass over the objects counts a level's generators
+//! and closes the frequent ones together. Here that step is one batch
+//! query, [`SupportEngine::close_candidates`], asked once per chunk of
+//! each level; it returns each frequent candidate with its closure and
+//! support, and nothing for the rest. How the engine answers is its
+//! choice: on a pair level
+//! over many short rows it counts every pair in one pass over the rows
+//! and builds extents for the frequent pairs alone, elsewhere it
+//! intersects one extent per candidate; either way each closure stops
+//! merging rows once it is down to its generator (`h(X) ⊇ X`).
 
 use crate::candidates::join_and_prune;
 use crate::counting::map_level;
 use crate::itemsets::{ClosedItemsets, MiningStats};
 use crate::sink::{ClosedSink, CollectSink};
 use crate::traits::ClosedMiner;
-use rulebases_dataset::{
-    Item, Itemset, MinSupport, MiningContext, Parallelism, Support, SupportEngine,
-};
+use rulebases_dataset::{Itemset, MinSupport, MiningContext, Parallelism, Support, SupportEngine};
 use std::collections::HashMap;
 
 /// The Close frequent-closed-itemset miner.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Close {
-    /// Thread policy for the per-level extent/closure fan-out.
+    /// Thread policy for the per-level fan-out of the level step.
     pub parallelism: Parallelism,
 }
 
@@ -92,34 +101,36 @@ impl Close {
             );
         }
 
-        // Level 1: singleton generators. One pass computes extents,
-        // supports and closures.
-        stats.db_passes += 1;
-        let mut generators: Vec<Itemset> = Vec::new();
-        let mut closures: HashMap<Itemset, Itemset> = HashMap::new();
-        for i in 0..engine.n_items() {
-            stats.candidates_counted += 1;
-            let cover = engine.cover(Item::new(i as u32));
-            let support = cover.count() as Support;
-            if support < min_count {
-                continue;
+        // Level 1 is the singleton candidates; level k + 1 joins level k's
+        // frequent generators and drops every candidate inside one of its
+        // facets' closures — it has that facet's closure, already
+        // recorded. Each level is one batch query per chunk: chunks fan
+        // over threads on wide levels (engines never spawn, so the level
+        // spawns once per chunk), and the merge below runs sequentially
+        // in candidate order, keeping the output deterministic whatever
+        // the thread policy.
+        let mut candidates: Vec<Itemset> = (0..engine.n_items() as u32)
+            .map(|i| Itemset::from_ids([i]))
+            .collect();
+        loop {
+            stats.db_passes += 1;
+            stats.candidates_counted += candidates.len();
+            let closed = map_level(self.parallelism, &candidates, |chunk| {
+                engine.close_candidates(chunk, min_count)
+            });
+            let mut generators = Vec::with_capacity(closed.len());
+            let mut closures = HashMap::with_capacity(closed.len());
+            for (candidate, closure, support) in closed {
+                // A full-support candidate reaches the bottom, whose
+                // minimal generator is ∅ (tagged above) — the candidate
+                // is not one. Only a singleton can: a longer one lies
+                // inside its facets' closure, the bottom, and was pruned.
+                let tag = (support < n as Support).then_some(candidate);
+                sink.accept(&closure, support, tag);
+                closures.insert(candidate.clone(), closure);
+                generators.push(candidate.clone());
             }
-            let generator = Itemset::from_ids([i as u32]);
-            let closure = engine.closure_of_tidset(&cover);
-            // A full-support singleton reaches the bottom, whose minimal
-            // generator is ∅ (tagged above) — the singleton is not one.
-            let tag = (support < n as Support).then_some(&generator);
-            sink.accept(&closure, support, tag);
-            closures.insert(generator.clone(), closure);
-            generators.push(generator);
-        }
-
-        // Levels k >= 2 over generators.
-        while generators.len() >= 2 {
-            let mut candidates = join_and_prune(&generators);
-            // Close-specific prune: if a candidate is contained in the
-            // closure of one of its facets, it has that facet's closure —
-            // already recorded.
+            candidates = join_and_prune(&generators);
             candidates.retain(|c| {
                 !c.facets()
                     .any(|facet| closures.get(&facet).is_some_and(|cl| c.is_subset_of(cl)))
@@ -127,33 +138,6 @@ impl Close {
             if candidates.is_empty() {
                 break;
             }
-            stats.db_passes += 1;
-            stats.candidates_counted += candidates.len();
-            // Each candidate is independent (extent → support filter →
-            // closure), so wide levels fan over candidate chunks on every
-            // engine: engines never spawn, so the level spawns once per
-            // chunk. The merge below runs sequentially in candidate
-            // order, keeping the output deterministic whatever the
-            // thread policy.
-            let evaluate = |candidate: &Itemset| {
-                let extent = engine.tidset_of(candidate);
-                let support = extent.count() as Support;
-                (support >= min_count).then(|| (engine.closure_of_tidset(&extent), support))
-            };
-            let evaluated: Vec<Option<(Itemset, Support)>> =
-                map_level(self.parallelism, &candidates, evaluate);
-            let mut next_generators = Vec::with_capacity(candidates.len());
-            let mut next_closures = HashMap::with_capacity(candidates.len());
-            for (candidate, result) in candidates.into_iter().zip(evaluated) {
-                let Some((closure, support)) = result else {
-                    continue;
-                };
-                sink.accept(&closure, support, Some(&candidate));
-                next_closures.insert(candidate.clone(), closure);
-                next_generators.push(candidate);
-            }
-            generators = next_generators;
-            closures = next_closures;
         }
 
         stats
@@ -255,6 +239,53 @@ mod tests {
         let ctx = MiningContext::new(rulebases_dataset::TransactionDb::from_rows(vec![]));
         let fc = Close::new().mine(&ctx, MinSupport::Count(1));
         assert!(fc.is_empty());
+    }
+
+    #[test]
+    fn counters_match_the_per_candidate_path_where_the_pair_pass_is_taken() {
+        // The T10I4D100K stand-in at 10,000 rows, minsup 0.01: its pair
+        // level takes the pair pass on both backends, yet the cache
+        // tallies what the per-candidate path would — one extent per
+        // item and per candidate, one intent per frequent generator, no
+        // support query, and one closure lookup (the bottom).
+        use rulebases_dataset::engine::{DenseEngine, TidListEngine};
+        use rulebases_dataset::generator::QuestConfig;
+        use rulebases_dataset::EngineKind;
+        use std::sync::Arc;
+
+        #[derive(Default)]
+        struct Emissions(u64);
+        impl ClosedSink for Emissions {
+            fn accept(&mut self, _: &Itemset, _: Support, _: Option<&Itemset>) {
+                self.0 += 1;
+            }
+        }
+
+        let db = Arc::new(QuestConfig::t10i4(10_000, 0x7101_0400).generate());
+        let minsup = MinSupport::Fraction(0.01);
+        let min_count = minsup.to_count(db.n_transactions());
+        let singletons: Vec<Itemset> = (0..db.n_items() as u32)
+            .map(|i| Itemset::from_ids([i]))
+            .filter(|i| db.support(i) >= min_count)
+            .collect();
+        let pairs = join_and_prune(&singletons);
+        assert!(DenseEngine::from_horizontal(&db).takes_pair_pass(&pairs));
+        assert!(TidListEngine::from_horizontal(&db).takes_pair_pass(&pairs));
+
+        for kind in EngineKind::BACKENDS {
+            let ctx = MiningContext::with_engine((*db).clone(), kind);
+            let mut sink = Emissions::default();
+            let stats = Close::new().mine_engine_sink(ctx.engine(), minsup, &mut sink);
+            let cache = ctx.closure_cache_stats();
+            let widths = stats.candidates_counted - db.n_items();
+            assert!(widths > 10_000, "{kind}: the pair level is {widths} wide");
+            assert_eq!(stats.db_passes, 2, "{kind}");
+            assert_eq!(cache.extents, (db.n_items() + widths) as u64, "{kind}");
+            assert_eq!(cache.supports, 0, "{kind}");
+            // Every emission but the bottom's is a frequent generator.
+            assert_eq!(cache.intents, sink.0 - 1, "{kind}");
+            assert_eq!(cache.lookups(), 1, "{kind}");
+        }
     }
 
     #[test]

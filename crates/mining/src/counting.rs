@@ -106,24 +106,30 @@ fn count_vertical(ctx: &MiningContext, candidates: &[Itemset]) -> Vec<Support> {
     ctx.engine().count_candidates(candidates)
 }
 
-/// Maps `f` over one candidate level (or generator set), fanning chunks
-/// across threads when the policy grants more than one and the level is
-/// at least [`PARALLEL_MIN_CANDIDATES`] wide. Engines never spawn, so a
-/// fanned level spawns once and nothing spawns inside a chunk. Results
+/// Runs `f` over one candidate level (or generator set) in chunks: the
+/// chunks fan across threads when the policy grants more than one and the
+/// level is at least [`PARALLEL_MIN_CANDIDATES`] wide, and otherwise `f`
+/// sees the whole level in one call. `f` answers a chunk in item order —
+/// typically through one batch engine query, such as
+/// [`SupportEngine::close_candidates`] for Close's level step, whose
+/// answers borrow the chunk's frequent candidates. Engines never spawn, so
+/// a fanned level spawns once and nothing spawns inside a chunk. Results
 /// come back in input order, so the sequential and fanned paths are
-/// interchangeable — this one guard is shared by Close's per-level
-/// extent/closure evaluation and A-Close's closure phase.
-pub fn map_level<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
+/// interchangeable — this one guard is shared by Close's level step and
+/// A-Close's closure phase.
+///
+/// [`SupportEngine::close_candidates`]: rulebases_dataset::SupportEngine::close_candidates
+pub fn map_level<'a, T, R, F>(parallelism: Parallelism, items: &'a [T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(&'a [T]) -> Vec<R> + Sync,
 {
     let threads = parallelism.threads();
     if threads > 1 && items.len() >= PARALLEL_MIN_CANDIDATES {
-        parallel_chunks(items, threads, |chunk| chunk.iter().map(&f).collect())
+        parallel_chunks(items, threads, f)
     } else {
-        items.iter().map(&f).collect()
+        f(items)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Regression pin on the mining thread model: Close fans each wide
-//! candidate level over chunks, and the engine answers the point queries
-//! inside a chunk on the calling thread — so a mine spawns a bounded
-//! number of threads per level, never a number per engine call.
+//! candidate level over chunks, and the engine answers each chunk's
+//! batch query on the calling thread — so a mine spawns a bounded number
+//! of threads per level, never a number per engine call.
 //!
 //! The spawn tally (`pool::threads_spawned`) is process-wide, so this
 //! binary holds exactly one test: nothing else can spawn while it reads
