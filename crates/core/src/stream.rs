@@ -458,18 +458,21 @@ impl MaintainedBases {
         let in_iceberg: Vec<bool> = (0..n)
             .map(|i| lattice.is_live(i) && lattice.node(i).1 >= min_count)
             .collect();
+        // Both bases reject a pair with an endpoint outside the iceberg,
+        // so only its members are paired.
+        let members: Vec<usize> = (0..n).filter(|&i| in_iceberg[i]).collect();
         let mut state = MaintainedBases {
             min_count,
             in_iceberg,
             ..MaintainedBases::default()
         };
-        for i in 0..n {
+        for &i in &members {
             for &j in lattice.upper_covers(i) {
                 if let Some(rule) = reduced_rule(lattice, &state.in_iceberg, minconf, i, j) {
                     state.lux_reduced.insert(pair_key(lattice, i, j), rule);
                 }
             }
-            for j in 0..n {
+            for &j in &members {
                 if let Some(rule) =
                     full_rule(lattice, &state.in_iceberg, minconf, include_empty, i, j)
                 {
@@ -477,14 +480,14 @@ impl MaintainedBases {
                 }
             }
         }
-        state.rebuild_dg(ctx.n_items(), lattice);
+        state.rebuild_dg(lattice);
         state
     }
 
     /// Recomputes the frequent pseudo-closed sets from the maintained
     /// iceberg family (no frequent-itemset walk — see
     /// [`pseudo_closed_of_family`]).
-    fn rebuild_dg(&mut self, n_items: usize, lattice: &IncrementalLattice) {
+    fn rebuild_dg(&mut self, lattice: &IncrementalLattice) {
         let family: Vec<(Itemset, Support)> = (0..lattice.n_nodes())
             .filter(|&i| self.in_iceberg[i])
             .map(|i| {
@@ -492,7 +495,7 @@ impl MaintainedBases {
                 (set.clone(), support)
             })
             .collect();
-        self.dg = pseudo_closed_of_family(&family, n_items);
+        self.dg = pseudo_closed_of_family(&family);
         self.dg_nodes = self
             .dg
             .iter()
@@ -848,7 +851,7 @@ impl StreamingMiner {
             }
         } else {
             let old_rules: Vec<Rule> = state.dg.iter().map(dg_rule).collect();
-            state.rebuild_dg(self.ctx.n_items(), lattice);
+            state.rebuild_dg(lattice);
             let new_rules: Vec<Rule> = state.dg.iter().map(dg_rule).collect();
             // Both lists are DG-sized (the smallest basis), canonically
             // ordered by premise: diffing them IS the delta-sized
@@ -969,9 +972,10 @@ impl StreamingMiner {
         self.db.n_segments()
     }
 
-    /// Number of closed sets the maintained (unthresholded) lattice
-    /// holds — the memory the session pays to answer any future
-    /// threshold.
+    /// Number of slots the maintained (unthresholded) lattice holds —
+    /// its closed sets plus the tombstones expiry left behind, which are
+    /// never reclaimed. This is the memory the session pays to answer
+    /// any future threshold.
     pub fn n_closure_classes(&self) -> usize {
         self.lattice.n_nodes()
     }

@@ -17,6 +17,16 @@
 //! insertions (one closure reached from several generators) are cheap
 //! hash lookups.
 //!
+//! Every per-slot scan runs as word algebra: the lattice keeps each
+//! slot's intent a second time as a bit set packed into `u64` words
+//! (bit `i` ⇔ item `i`), and keys its intent index by those words. A
+//! meet is one AND, a meet count one AND and popcount, a subset test
+//! one AND-NOT per word, all through [`rulebases_dataset::kernels`]. The width is the largest item id seen
+//! so far, rounded up to whole words, and grows in place when a wider
+//! set arrives; index keys drop their trailing zero words, so they do
+//! not depend on it. The packed words are derived state: the wire form
+//! holds only the sorted intents, and a restore packs them again.
+//!
 //! Alongside the order itself, the builder tags every node with the
 //! **minimal generators** the miner reports for it (see
 //! [`IncrementalLattice::insert`]) — the levelwise closed miners prove
@@ -38,6 +48,12 @@
 //!   each entering with support `supp(h_old(A ∩ R)) + 1` — so the whole
 //!   update is set algebra over the maintained nodes, with **zero**
 //!   support-engine queries.
+//!
+//! A new intent `X` other than `R` is found through its *generator*
+//! `Z = h_old(X)`, the one node with `Z ∩ R = X` none of whose lower
+//! covers contains `X`, and is wired from `Z`'s neighbourhood: `Z` is
+//! its one upper cover, and its lower covers are the maximal intents
+//! among `C ∩ R` over the lower covers `C` of `Z`.
 //!
 //! # Generator maintenance: local extension, not recomputation
 //!
@@ -102,9 +118,10 @@
 //! leaves the index, the edge lists, and every snapshot.
 
 use crate::lattice::IcebergLattice;
+use rulebases_dataset::kernels::{and_assign, and_count, is_subset};
 use rulebases_dataset::{Itemset, Support};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Work counters for minimal-generator maintenance — accumulated per
 /// maintenance step into [`LatticeDelta::gen`] and over the lattice's
@@ -245,10 +262,19 @@ impl LatticeDelta {
 /// insertion. Nodes are kept in arrival order internally;
 /// [`IncrementalLattice::finish`] re-sorts canonically and hands back an
 /// [`IcebergLattice`] plus the per-node generator tags.
+///
+/// Beside each slot's sorted intent it keeps the intent's packed words
+/// (see the module docs), which every structural scan reads. They are
+/// derived from the intents, so they are not persisted.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalLattice {
     nodes: Vec<(Itemset, Support)>,
-    index: HashMap<Itemset, usize>,
+    /// Slot `id`'s intent as a bit set: `packed[id * words..][..words]`.
+    packed: Vec<u64>,
+    /// Words per packed intent: enough for the largest item id seen.
+    words: usize,
+    /// Live intents by their packed words, trailing zero words trimmed.
+    index: HashMap<Box<[u64]>, usize>,
     upper: Vec<Vec<usize>>,
     lower: Vec<Vec<usize>>,
     generators: Vec<Vec<Itemset>>,
@@ -341,7 +367,8 @@ impl IncrementalLattice {
         generator: Option<&Itemset>,
         removed_edges: &mut Vec<(usize, usize)>,
     ) -> usize {
-        if let Some(&id) = self.index.get(set) {
+        let x = self.pack(set);
+        if let Some(&id) = self.index.get(trimmed(&x)) {
             assert_eq!(
                 self.nodes[id].1, support,
                 "conflicting supports for {set:?}"
@@ -349,45 +376,44 @@ impl IncrementalLattice {
             self.tag(id, generator);
             return id;
         }
-        let id = self.nodes.len();
-
-        // Strict subsets and supersets among the existing live nodes.
+        // Strict subsets and supersets among the existing live nodes: a
+        // strict subset is smaller, a strict superset larger (no live
+        // node equals the set: it is not in the index).
         let mut subs: Vec<usize> = Vec::new();
         let mut supers: Vec<usize> = Vec::new();
-        for (j, (node, _)) in self.nodes.iter().enumerate() {
+        for j in 0..self.nodes.len() {
             if !self.alive[j] {
                 continue;
             }
-            if node.is_proper_subset_of(set) {
+            let len = self.nodes[j].0.len();
+            if len < set.len() && is_subset(self.slot(j), &x) {
                 subs.push(j);
-            } else if set.is_proper_subset_of(node) {
+            } else if len > set.len() && is_subset(&x, self.slot(j)) {
                 supers.push(j);
             }
         }
-        // Immediate predecessors: maximal among the subsets. A subset is
-        // dominated iff one of the nodes it covers from below reaches
-        // another subset — cheaper to test directly on the small lists.
-        let preds: Vec<usize> = subs
-            .iter()
-            .copied()
-            .filter(|&p| {
-                !subs
-                    .iter()
-                    .any(|&q| q != p && self.nodes[p].0.is_proper_subset_of(&self.nodes[q].0))
-            })
-            .collect();
-        // Immediate successors: minimal among the supersets.
-        let succs: Vec<usize> = supers
-            .iter()
-            .copied()
-            .filter(|&s| {
-                !supers
-                    .iter()
-                    .any(|&q| q != s && self.nodes[q].0.is_proper_subset_of(&self.nodes[s].0))
-            })
-            .collect();
+        // Immediate predecessors: maximal among the subsets; immediate
+        // successors: minimal among the supersets.
+        let preds = self.extremal(&subs, true);
+        let succs = self.extremal(&supers, false);
+        let id = self.link(set, x, support, preds, succs, removed_edges);
+        self.tag(id, generator);
+        id
+    }
 
-        // The new node interposes on every pred→succ edge that existed.
+    /// Adds a new node — intent `set`, packed as `x` — between its
+    /// immediate predecessors and successors, removing (and reporting)
+    /// every pred→succ edge it interposes on. Returns its id.
+    fn link(
+        &mut self,
+        set: &Itemset,
+        x: Vec<u64>,
+        support: Support,
+        preds: Vec<usize>,
+        succs: Vec<usize>,
+        removed_edges: &mut Vec<(usize, usize)>,
+    ) -> usize {
+        let id = self.nodes.len();
         for &p in &preds {
             for &s in &succs {
                 if let Some(pos) = self.upper[p].iter().position(|&u| u == s) {
@@ -401,34 +427,59 @@ impl IncrementalLattice {
                 }
             }
         }
-
-        self.nodes.push((set.clone(), support));
-        self.index.insert(set.clone(), id);
-        self.upper.push(succs.clone());
-        self.lower.push(preds.clone());
-        self.generators.push(Vec::new());
-        self.alive.push(true);
         for &p in &preds {
             self.upper[p].push(id);
         }
         for &s in &succs {
             self.lower[s].push(id);
         }
-        self.tag(id, generator);
+        self.nodes.push((set.clone(), support));
+        self.index.insert(trimmed(&x).into(), id);
+        self.packed.extend_from_slice(&x);
+        self.upper.push(succs);
+        self.lower.push(preds);
+        self.generators.push(Vec::new());
+        self.alive.push(true);
         id
+    }
+
+    /// The immediate predecessors of the new intent `z ∩ row` that node
+    /// `z` generates (see [`IncrementalLattice::insert_object_delta`]),
+    /// found in `z`'s neighbourhood: they are the maximal intents among
+    /// `c ∩ row` over the lower covers `c` of `z`. Each of those is an
+    /// intent strictly inside `z ∩ row`, so it is already a node (new
+    /// intents arrive smallest first); and a maximal node `y` below
+    /// `z ∩ row` lies under some lower cover `c`, so `y ⊆ c ∩ row`, with
+    /// equality by maximality. Ids come back ascending, the order the
+    /// full scan finds them in.
+    fn covers_below(&self, z: usize, r: &[u64]) -> Vec<usize> {
+        let mut meet = vec![0u64; self.words];
+        let mut ids: Vec<usize> = self.lower[z]
+            .iter()
+            .map(|&c| {
+                meet.copy_from_slice(self.slot(c));
+                and_assign(&mut meet, r);
+                *self
+                    .index
+                    .get(trimmed(&meet))
+                    .expect("a lower cover's meet with the row is a node")
+            })
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        self.extremal(&ids, true)
     }
 
     /// Inserts one *object* (transaction) with itemset `row`, maintaining
     /// the full closure system online — the GALICIA-style streaming step
-    /// (see the module docs). In one pass of set algebra, with no engine
-    /// queries:
+    /// (see the module docs). In two word passes over the slots, with no
+    /// engine queries:
     ///
     /// * every node `A ⊆ row` gains the object (`support += 1`);
     /// * the intents the object creates — `{A ∩ row}` over the existing
     ///   nodes, plus `row` itself, minus those already present — are
     ///   inserted with support `supp_old(h_old(X)) + 1` and wired into
-    ///   the covering relation ([`IncrementalLattice::insert`]'s
-    ///   interposition machinery);
+    ///   the covering relation from their old closure's neighbourhood;
     /// * the minimal-generator tags move by the local rules of the
     ///   module docs: each new class inherits its old closure's fitting
     ///   tags, and each node that gained a lower cover runs one Berge
@@ -459,43 +510,56 @@ impl IncrementalLattice {
     pub fn insert_object_delta(&mut self, row: &Itemset) -> LatticeDelta {
         let mut delta = LatticeDelta::default();
         let mut stats = GenStats::default();
-        // New intents, each mapped to its pre-insertion support and its
-        // old closure: supports are antitone in ⊆, so supp_old(X) =
-        // supp(h_old(X)) is the max support over the nodes containing X
-        // (0 when none does), and the node attaining that max *is*
-        // h_old(X) — it is the unique containing node of maximal
-        // support, because h_old(X) ⊆ Y for every closed Y ⊇ X and
-        // nested extents of equal size coincide. A BTreeMap keeps the
-        // insertion order (and hence node ids and tag work) independent
-        // of hasher state.
-        let mut fresh: BTreeMap<Itemset, (Support, Option<usize>)> = BTreeMap::new();
-        if !self.index.contains_key(row) {
-            fresh.insert(row.clone(), (0, None));
-        }
-        for (j, (node, _)) in self.nodes.iter().enumerate() {
-            if !self.alive[j] {
-                continue;
-            }
-            let meet = node.intersection(row);
-            if !self.index.contains_key(&meet) {
-                fresh.entry(meet).or_insert((0, None));
-            }
-        }
-        for (meet, (base, closure)) in fresh.iter_mut() {
-            for (j, (node, support)) in self.nodes.iter().enumerate() {
-                if self.alive[j] && meet.is_subset_of(node) && *support > *base {
-                    *base = *support;
-                    *closure = Some(j);
+        let r = self.pack(row);
+        // Two passes over the slots. The first takes each node's meet
+        // count |node ∩ row|, one AND and popcount: a node whose count
+        // is its size lies inside the row, and the object joins its
+        // extent. Any other node Z *generates* its meet X = Z ∩ row — X
+        // is a new intent and Z its old closure h_old(X) — iff no lower
+        // cover of Z contains X. (If X is an old intent, or its closure
+        // lies strictly below Z, that node sits under some lower cover
+        // of Z, which then contains X. Otherwise nothing below Z
+        // contains X, so X is no intent and Z is the least node above
+        // it.) A lower cover C ⊊ Z has C ∩ row ⊆ X, so it contains X
+        // iff its meet count equals Z's: the second pass compares
+        // counts. Each new intent but the row has exactly one
+        // generator, its old closure, and enters with support
+        // supp_old(Z) + 1; bumping cannot disturb that support, since
+        // a bumped node generates nothing.
+        let n = self.nodes.len();
+        let mut counts = vec![0usize; n];
+        for (j, count) in counts.iter_mut().enumerate() {
+            if self.alive[j] {
+                *count = and_count(self.slot(j), &r);
+                let (node, support) = &mut self.nodes[j];
+                if *count == node.len() {
+                    *support += 1;
+                    delta.bumped.push(j);
                 }
             }
         }
-        // The object joins the extent of every closed subset of its row.
-        for (id, (node, support)) in self.nodes.iter_mut().enumerate() {
-            if self.alive[id] && node.is_subset_of(row) {
-                *support += 1;
-                delta.bumped.push(id);
+        let mut fresh: Vec<(Itemset, Vec<u64>, Support, Option<usize>)> = Vec::new();
+        for j in 0..n {
+            let count = counts[j];
+            if self.alive[j]
+                && count < self.nodes[j].0.len()
+                && self.lower[j].iter().all(|&c| counts[c] < count)
+            {
+                let mut meet = self.slot(j).to_vec();
+                and_assign(&mut meet, &r);
+                let (node, support) = &self.nodes[j];
+                fresh.push((node.intersection(row), meet, *support, Some(j)));
             }
         }
+        // The row itself is new unless some node already holds it; it
+        // was generated above iff some node contains it, and otherwise
+        // has no old closure.
+        if !self.index.contains_key(trimmed(&r)) && !fresh.iter().any(|(_, x, ..)| *x == r) {
+            fresh.push((row.clone(), r.clone(), 0, None));
+        }
+        // Sorting by intent keeps the insertion order (and hence node
+        // ids and tag work) independent of the slot order.
+        fresh.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         // Insert the new classes smallest-first and maintain the tags as
         // each lands. Only the fresh node's own upper covers gain a
         // lower cover (an old node z can gain a fresh lower cover Y only
@@ -503,7 +567,7 @@ impl IncrementalLattice {
         // below cover every cover gain of the whole insertion. In oracle
         // mode, collect the same dirty set and retag it from scratch.
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
-        for (meet, (base, closure)) in fresh {
+        for (meet, words, base, closure) in fresh {
             // Split-seed rule: the tags of the old closure that fit in
             // the new class are exactly its minimal generators (their
             // closures shrink onto it; anything smaller would have
@@ -520,7 +584,19 @@ impl IncrementalLattice {
                     .cloned()
                     .collect()
             });
-            let id = self.insert_reporting(&meet, base + 1, None, &mut delta.removed_edges);
+            // Its one upper cover is its generator — every old node
+            // above it contains its old closure, and the new intents
+            // before it are no larger — and its lower covers lie in the
+            // generator's neighbourhood. A row no node contains takes
+            // the full scan.
+            let id = match closure {
+                Some(z) => {
+                    let preds = self.covers_below(z, &r);
+                    let edges = &mut delta.removed_edges;
+                    self.link(&meet, words, base + 1, preds, vec![z], edges)
+                }
+                None => self.insert_reporting(&meet, base + 1, None, &mut delta.removed_edges),
+            };
             delta.created.push(id);
             match self.gen_mode {
                 GenMaintenance::Local => {
@@ -603,15 +679,17 @@ impl IncrementalLattice {
     /// [`IncrementalLattice::insert_object_delta`] this makes one
     /// absorbed delta cover a mixed append/expire batch.
     pub fn remove_object_delta(&mut self, row: &Itemset) -> LatticeDelta {
+        let r = self.pack(row);
         debug_assert!(
-            self.index.contains_key(row),
+            self.index.contains_key(trimmed(&r)),
             "remove_object: {row:?} is not an object of the maintained context"
         );
         let mut delta = LatticeDelta::default();
         // The object leaves the extent of every closed subset of its
         // row; nothing else changes extent.
-        for (id, (node, support)) in self.nodes.iter_mut().enumerate() {
-            if self.alive[id] && node.is_subset_of(row) {
+        let w = self.words;
+        for (id, (_, support)) in self.nodes.iter_mut().enumerate() {
+            if self.alive[id] && is_subset(&self.packed[id * w..(id + 1) * w], &r) {
                 debug_assert!(*support > 0, "removing an unwitnessed object");
                 *support -= 1;
                 delta.dropped.push(id);
@@ -631,10 +709,10 @@ impl IncrementalLattice {
             .iter()
             .copied()
             .filter(|&x| {
-                let (xs, xsup) = (&self.nodes[x].0, self.nodes[x].1);
+                let xsup = self.nodes[x].1;
                 xsup == 0
-                    || self.nodes.iter().enumerate().any(|(y, (ys, ysup))| {
-                        y != x && self.alive[y] && *ysup == xsup && xs.is_proper_subset_of(ys)
+                    || (0..self.nodes.len()).any(|y| {
+                        self.alive[y] && self.nodes[y].1 == xsup && self.strictly_below(x, y)
                     })
             })
             .collect();
@@ -648,19 +726,16 @@ impl IncrementalLattice {
         let mut donations: Vec<(usize, Vec<Itemset>)> = Vec::new();
         if self.gen_mode == GenMaintenance::Local {
             for &x in &dying {
-                let (xs, xsup) = (&self.nodes[x].0, self.nodes[x].1);
+                let xsup = self.nodes[x].1;
                 if xsup == 0 {
                     continue;
                 }
-                let target = self
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .position(|(y, (ys, ysup))| {
+                let target = (0..self.nodes.len())
+                    .find(|&y| {
                         self.alive[y]
+                            && self.nodes[y].1 == xsup
                             && !dying_set.contains(&y)
-                            && *ysup == xsup
-                            && xs.is_proper_subset_of(ys)
+                            && self.strictly_below(x, y)
                     })
                     .expect("a dying class with surviving extent has a surviving closure");
                 donations.push((target, self.generators[x].clone()));
@@ -738,7 +813,8 @@ impl IncrementalLattice {
         dirty: &mut BTreeSet<usize>,
     ) {
         self.alive[x] = false;
-        self.index.remove(&self.nodes[x].0);
+        let w = self.words;
+        self.index.remove(trimmed(&self.packed[x * w..(x + 1) * w]));
         self.generators[x].clear();
         let ups = std::mem::take(&mut self.upper[x]);
         let downs = std::mem::take(&mut self.lower[x]);
@@ -756,10 +832,8 @@ impl IncrementalLattice {
                 if self.upper[d].contains(&u) {
                     continue;
                 }
-                let interposed = self.nodes.iter().enumerate().any(|(z, (zs, _))| {
-                    self.alive[z]
-                        && self.nodes[d].0.is_proper_subset_of(zs)
-                        && zs.is_proper_subset_of(&self.nodes[u].0)
+                let interposed = (0..self.nodes.len()).any(|z| {
+                    self.alive[z] && self.strictly_below(d, z) && self.strictly_below(z, u)
                 });
                 if !interposed {
                     self.upper[d].push(u);
@@ -781,7 +855,59 @@ impl IncrementalLattice {
 
     /// Internal id of an intent, if present.
     pub fn position(&self, set: &Itemset) -> Option<usize> {
-        self.index.get(set).copied()
+        let mut words = vec![0u64; words_for(set)];
+        pack_into(set, &mut words);
+        self.index.get(trimmed(&words)).copied()
+    }
+
+    /// Slot `id`'s packed intent.
+    fn slot(&self, id: usize) -> &[u64] {
+        &self.packed[id * self.words..(id + 1) * self.words]
+    }
+
+    /// Whether slot `a`'s intent is a strict subset of slot `b`'s: it is
+    /// smaller, and its words lie inside `b`'s.
+    fn strictly_below(&self, a: usize, b: usize) -> bool {
+        self.nodes[a].0.len() < self.nodes[b].0.len() && is_subset(self.slot(a), self.slot(b))
+    }
+
+    /// `set` packed at the lattice's width, first widening every slot
+    /// when `set` holds a larger item id than any seen so far.
+    fn pack(&mut self, set: &Itemset) -> Vec<u64> {
+        let need = words_for(set);
+        if need > self.words {
+            let mut packed = vec![0u64; self.nodes.len() * need];
+            for (id, wide) in packed.chunks_exact_mut(need).enumerate() {
+                wide[..self.words].copy_from_slice(self.slot(id));
+            }
+            self.packed = packed;
+            self.words = need;
+        }
+        let mut words = vec![0u64; self.words];
+        pack_into(set, &mut words);
+        words
+    }
+
+    /// The ids among `ids` whose intent lies in no other's (`maximal`)
+    /// or contains no other's (minimal), in `ids` order: an antichain
+    /// of the extremal ids seen so far, each new id either dominated by
+    /// one of them or displacing those it dominates.
+    fn extremal(&self, ids: &[usize], maximal: bool) -> Vec<usize> {
+        let dominates = |a: usize, b: usize| {
+            if maximal {
+                self.strictly_below(b, a)
+            } else {
+                self.strictly_below(a, b)
+            }
+        };
+        let mut found: Vec<usize> = Vec::new();
+        for &i in ids {
+            if !found.iter().any(|&e| dominates(e, i)) {
+                found.retain(|&e| !dominates(i, e));
+                found.push(i);
+            }
+        }
+        found
     }
 
     /// Upper covers (immediate successors) of node `id`, in no particular
@@ -962,8 +1088,8 @@ impl IncrementalLattice {
 /// slots are serialized too (intent kept, covers/tags empty) so node
 /// ids survive the persistence boundary unchanged: id-keyed bookkeeping
 /// in downstream consumers must stay resolvable after a restore, and
-/// freed ids must stay unrecycled. The `index` is derived state,
-/// rebuilt from the live slots on deserialization.
+/// freed ids must stay unrecycled. The packed words and the `index` are
+/// derived state, rebuilt from the intents on deserialization.
 #[derive(Serialize, Deserialize)]
 struct IncrementalLatticeWire {
     nodes: Vec<(Itemset, Support)>,
@@ -1025,14 +1151,37 @@ impl Deserialize for IncrementalLattice {
                 }
             }
         }
+        // The packed words are rebuilt from the intents, which must be
+        // strictly ascending id lists: `words_for` takes the last id as
+        // the largest. Their slab is reserved fallibly, so intents too
+        // wide to pack in memory are an error, not an abort.
+        if wire
+            .nodes
+            .iter()
+            .any(|(set, _)| set.as_slice().windows(2).any(|w| w[0] >= w[1]))
+        {
+            return Err(serde::Error::custom("intent ids not strictly ascending"));
+        }
+        let words = wire
+            .nodes
+            .iter()
+            .map(|(set, _)| words_for(set))
+            .max()
+            .unwrap_or(0);
+        let mut packed = zeroed_words(n, words)
+            .ok_or_else(|| serde::Error::custom("packed intents do not fit in memory"))?;
         let mut index = HashMap::with_capacity(n);
         for (id, (set, _)) in wire.nodes.iter().enumerate() {
-            if wire.alive[id] && index.insert(set.clone(), id).is_some() {
+            let slot = &mut packed[id * words..(id + 1) * words];
+            pack_into(set, slot);
+            if wire.alive[id] && index.insert(trimmed(slot).into(), id).is_some() {
                 return Err(serde::Error::custom("duplicate live intent"));
             }
         }
         Ok(IncrementalLattice {
             nodes: wire.nodes,
+            packed,
+            words,
             index,
             upper: wire.upper,
             lower: wire.lower,
@@ -1042,6 +1191,40 @@ impl Deserialize for IncrementalLattice {
             stats: wire.stats,
         })
     }
+}
+
+/// Words a packed `set` needs: one per 64 ids up to its largest.
+fn words_for(set: &Itemset) -> usize {
+    set.last().map_or(0, |item| item.id() as usize / 64 + 1)
+}
+
+/// `n` slots of `words` zeroed words each, or `None` when that many
+/// words cannot be allocated.
+fn zeroed_words(n: usize, words: usize) -> Option<Vec<u64>> {
+    let len = n.checked_mul(words)?;
+    let mut slab = Vec::new();
+    slab.try_reserve_exact(len).ok()?;
+    slab.resize(len, 0);
+    Some(slab)
+}
+
+/// Sets the bit of every item of `set` in `words` (zeroed, and wide
+/// enough for the largest id).
+fn pack_into(set: &Itemset, words: &mut [u64]) {
+    for item in set {
+        let id = item.id() as usize;
+        words[id / 64] |= 1 << (id % 64);
+    }
+}
+
+/// The index key of packed words: trailing zero words dropped, so equal
+/// sets packed at different widths share one key.
+fn trimmed(words: &[u64]) -> &[u64] {
+    let len = words
+        .iter()
+        .rposition(|&w| w != 0)
+        .map_or(0, |last| last + 1);
+    &words[..len]
 }
 
 /// The minimal transversals (minimal hitting sets) of a family of
@@ -1619,6 +1802,44 @@ mod tests {
         assert!(total.gen.subsumption_checks > 0);
         assert_eq!(total.gen.transversal_fallbacks, 0);
         assert_eq!(inc.gen_stats().candidates, total.gen.candidates);
+    }
+
+    #[test]
+    fn packed_width_grows_in_place() {
+        // Ids past each word boundary arrive one row after another: every
+        // slot is re-laid out wider, the index keeps answering for the
+        // narrower intents, and a set wider than anything seen is absent.
+        let mut inc = IncrementalLattice::new();
+        for (row, words) in [
+            (set(&[1, 2]), 1),
+            (set(&[2, 70]), 2),
+            (set(&[1, 2, 200]), 4),
+        ] {
+            inc.insert_object(&row);
+            assert_eq!(inc.words, words);
+        }
+        for id in 0..inc.n_nodes() {
+            assert_eq!(inc.position(inc.node(id).0), Some(id));
+        }
+        assert_eq!(inc.position(&set(&[2, 300])), None);
+        let (lattice, _) = inc.snapshot(1);
+        let expected = [(set(&[2]), 3), (set(&[1, 2]), 2), (set(&[2, 70]), 1)];
+        assert_eq!(lattice.n_nodes(), 4);
+        for (intent, support) in expected {
+            let id = lattice.position(&intent).unwrap();
+            assert_eq!(lattice.node(id).1, support);
+        }
+    }
+
+    #[test]
+    fn unallocatable_slabs_are_refused() {
+        // Both fail before touching memory: a length past `usize`, and
+        // 2^49 bytes (512 TiB), beyond the user address space of 64-bit
+        // Linux, macOS and Windows. That is the slab a restore would
+        // reserve for a million slots at the largest `u32` id.
+        assert!(zeroed_words(usize::MAX, 2).is_none());
+        assert!(zeroed_words(1 << 20, 1 << 26).is_none());
+        assert_eq!(zeroed_words(3, 2), Some(vec![0; 6]));
     }
 
     #[test]

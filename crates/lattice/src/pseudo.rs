@@ -14,7 +14,7 @@
 use crate::closure_op::ClosureOperator;
 use crate::implications::{Implication, ImplicationSet};
 use crate::next_closure::next_closed;
-use rulebases_dataset::{Itemset, Support};
+use rulebases_dataset::{Item, Itemset, Support};
 use rulebases_mining::{ClosedItemsets, FrequentItemsets};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -128,25 +128,60 @@ impl ClosureOperator for FamilyClosure<'_> {
 ///
 /// `family` must be the complete set of frequent closed itemsets of one
 /// context at one threshold (exactly what an iceberg-lattice snapshot
-/// holds), over a universe of `n_items` items. The function runs Ganter's
-/// stem-base walk over the closure system `family ∪ {I}`: the premises it
-/// collects are the pseudo-closed sets of that system, and the frequent
-/// ones — those whose closure is a family member — are precisely the
-/// paper's `FP` (an infrequent pseudo-closed set cannot sit below a
-/// frequent candidate, so the two definitions' saturation conditions
-/// coincide on frequent sets; the agreement with
+/// holds). The function runs Ganter's stem-base walk over the closure
+/// system `family ∪ {I}`, `I` the items some family member holds: the
+/// premises it collects are the pseudo-closed sets of that system, and
+/// the frequent ones — those whose closure is a family member — are
+/// precisely the paper's `FP` (an infrequent pseudo-closed set cannot
+/// sit below a frequent candidate, so the two definitions' saturation
+/// conditions coincide on frequent sets; the agreement with
 /// [`frequent_pseudo_closed`] is pinned in the tests).
 ///
-/// Cost scales with `(|FC| + |FP|) · n_items` closure evaluations over
-/// the family — independent of both the row count *and* the frequent-set
-/// count, which is what lets the streaming base maintenance rebuild the
-/// Duquenne-Guigues basis per batch without expanding `F`.
+/// The context's items outside the family never matter: every frequent
+/// pseudo-closed set lies inside its closure, a family member, and on
+/// the sets below it a wider universe would change only the closure of
+/// the infrequent ones (the fallback `I`), so the frequent premises come
+/// out the same. The walk renumbers the items in use densely and maps
+/// its results back. Cost scales with
+/// `(|FC| + |FP|) · u` closure evaluations over the family, `u` the
+/// number of items in use — independent of the row count, the
+/// frequent-set count *and* the width of the context, which is what
+/// lets the streaming base maintenance rebuild the Duquenne-Guigues
+/// basis per batch without expanding `F`.
 ///
 /// Results are in canonical (size, then lexicographic) order.
-pub fn pseudo_closed_of_family(family: &[(Itemset, Support)], n_items: usize) -> Vec<PseudoClosed> {
+pub fn pseudo_closed_of_family(family: &[(Itemset, Support)]) -> Vec<PseudoClosed> {
     if family.is_empty() {
         return Vec::new();
     }
+    // The items in use, ascending: dense id `d` stands for `used[d]`. The
+    // renumbering is monotone, so it keeps the canonical order.
+    let used: Vec<Item> = family
+        .iter()
+        .fold(Itemset::empty(), |acc, (set, _)| acc.union(set))
+        .into_vec();
+    let dense: Vec<(Itemset, Support)> = family
+        .iter()
+        .map(|(set, sup)| {
+            let ids = set
+                .iter()
+                .map(|item| used.partition_point(|&u| u < item) as u32);
+            (Itemset::from_sorted(ids.map(Item::new).collect()), *sup)
+        })
+        .collect();
+    let original =
+        |set: &Itemset| Itemset::from_sorted(set.iter().map(|d| used[d.id() as usize]).collect());
+    let mut found = walk_family(&dense, used.len());
+    for p in &mut found {
+        p.set = original(&p.set);
+        p.closure = original(&p.closure);
+    }
+    found
+}
+
+/// Ganter's walk for [`pseudo_closed_of_family`] over the universe
+/// `0..n_items`.
+fn walk_family(family: &[(Itemset, Support)], n_items: usize) -> Vec<PseudoClosed> {
     let support_of: HashMap<&Itemset, Support> = family.iter().map(|(s, sup)| (s, *sup)).collect();
     let op = FamilyClosure {
         sets: family,
@@ -188,6 +223,8 @@ pub fn pseudo_closed_of_family(family: &[(Itemset, Support)], n_items: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rulebases_dataset::{paper_example, MinSupport, MiningContext, TransactionDb};
     use rulebases_mining::brute::{brute_closed, brute_frequent};
 
@@ -310,48 +347,86 @@ mod tests {
         let _ = frequent_pseudo_closed(&frequent, &fc);
     }
 
-    /// The family-direct computation must agree, set for set, with the
-    /// definition-driven one that walks all frequent itemsets.
-    fn assert_family_matches_definition(db: TransactionDb, n_items: usize, min_count: u64) {
+    /// The family-direct result and the definition-driven one (which
+    /// walks all frequent itemsets) on one context, in that order.
+    fn family_and_definition(
+        db: TransactionDb,
+        min_count: u64,
+    ) -> (Vec<PseudoClosed>, Vec<PseudoClosed>) {
         let ctx = MiningContext::new(db);
         let frequent = brute_frequent(&ctx, MinSupport::Count(min_count));
         let fc = brute_closed(&ctx, MinSupport::Count(min_count));
-        let expected = frequent_pseudo_closed(&frequent, &fc);
         let family: Vec<(Itemset, Support)> = fc.iter().map(|(s, sup)| (s.clone(), sup)).collect();
-        let got = pseudo_closed_of_family(&family, n_items);
+        (
+            pseudo_closed_of_family(&family),
+            frequent_pseudo_closed(&frequent, &fc),
+        )
+    }
+
+    fn assert_family_matches_definition(db: TransactionDb, min_count: u64) {
+        let (got, expected) = family_and_definition(db, min_count);
         assert_eq!(got, expected, "min_count {min_count}");
     }
 
-    #[test]
-    fn family_walk_matches_frequent_pseudo_closed() {
-        for min_count in 1..=5 {
-            assert_family_matches_definition(paper_example(), 6, min_count);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The walk runs over the items in use only, so spread them with
+        /// gaps (item `k` becomes an id in `40k..40k + 40`): the result
+        /// must still be the definition's, set for set.
+        #[test]
+        fn family_walk_matches_frequent_pseudo_closed(
+            rows in vec(vec(0u32..6, 0..5), 1..9),
+            gaps in vec(0u32..40, 6),
+            min_count in 1u64..5,
+        ) {
+            let rows: Vec<Vec<u32>> = rows
+                .iter()
+                .map(|row| row.iter().map(|&k| 40 * k + gaps[k as usize]).collect())
+                .collect();
+            let (got, expected) = family_and_definition(TransactionDb::from_rows(rows), min_count);
+            prop_assert_eq!(got, expected);
         }
-        // A context where h(∅) ≠ ∅ (item 7 everywhere) and one with a
-        // closed universe member.
+    }
+
+    #[test]
+    fn family_walk_matches_on_edge_families() {
+        for min_count in 1..=5 {
+            assert_family_matches_definition(paper_example(), min_count);
+        }
+        // A family holding only the bottom ∅ (no item reaches the
+        // threshold): no pseudo-closed set.
+        assert_family_matches_definition(TransactionDb::from_rows(vec![vec![3], vec![5]]), 2);
+        // A family holding only a bottom other than ∅: ∅ is
+        // pseudo-closed, with h(∅) as its closure.
+        assert_family_matches_definition(
+            TransactionDb::from_rows(vec![vec![7, 40], vec![7, 90]]),
+            2,
+        );
+        // The same bottom under a larger family, and a closed universe
+        // member.
         assert_family_matches_definition(
             TransactionDb::from_rows(vec![vec![1, 7], vec![2, 7], vec![1, 2, 7]]),
-            8,
             1,
         );
-        assert_family_matches_definition(TransactionDb::from_rows(vec![vec![0, 1, 2]; 3]), 3, 1);
+        assert_family_matches_definition(TransactionDb::from_rows(vec![vec![0, 1, 2]; 3]), 1);
         // Pairwise-disjoint items: everything closed, no pseudo-closed.
         assert_family_matches_definition(
             TransactionDb::from_rows(vec![vec![0], vec![1], vec![2]]),
-            3,
             1,
         );
-        // A universe wider than any row exercises the infrequent `P → I`
-        // premises the walk records but never emits.
+        // No row holds every item in use (and id 2 is a gap): the walk
+        // records infrequent `P → I` premises but never emits them.
         assert_family_matches_definition(
             TransactionDb::from_rows(vec![vec![0, 3], vec![0, 4], vec![1, 3]]),
-            6,
             1,
         );
+        // An empty family: the threshold exceeds the row count.
+        assert_family_matches_definition(TransactionDb::from_rows(vec![vec![1], vec![2]]), 3);
     }
 
     #[test]
     fn family_walk_on_empty_family() {
-        assert!(pseudo_closed_of_family(&[], 5).is_empty());
+        assert!(pseudo_closed_of_family(&[]).is_empty());
     }
 }

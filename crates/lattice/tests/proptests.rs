@@ -19,6 +19,28 @@ fn contexts() -> impl Strategy<Value = TransactionDb> {
     vec(vec(0u32..7, 0..5), 1..9).prop_map(TransactionDb::from_rows)
 }
 
+/// Contexts shaped like [`contexts`], half of them spread across three
+/// 64-bit words: item `k` moves to an id in `24k..24k + 24`, the last
+/// row gains the top item (an id past 128), and the rows arrive ordered
+/// by their largest id — so the lattice's packed width grows while the
+/// rows stream in.
+fn maybe_wide_contexts() -> impl Strategy<Value = TransactionDb> {
+    (vec(vec(0u32..7, 0..5), 1..9), vec(0u32..24, 7), 0u32..2).prop_map(
+        |(mut rows, jitter, wide)| {
+            if wide == 1 {
+                rows.last_mut().unwrap().push(6);
+                for row in &mut rows {
+                    for k in row.iter_mut() {
+                        *k = 24 * *k + jitter[*k as usize];
+                    }
+                }
+                rows.sort_by_key(|row| row.iter().max().copied());
+            }
+            TransactionDb::from_rows(rows)
+        },
+    )
+}
+
 fn implication_sets() -> impl Strategy<Value = ImplicationSet> {
     vec((vec(0u32..8, 0..3), vec(0u32..8, 1..3)), 0..6).prop_map(|pairs| {
         let implications = pairs
@@ -189,7 +211,7 @@ proptest! {
     }
 
     #[test]
-    fn object_replay_matches_batch_lattice(db in contexts(), min_count in 1u64..4) {
+    fn object_replay_matches_batch_lattice(db in maybe_wide_contexts(), min_count in 1u64..4) {
         // Replaying a context transaction by transaction through the
         // GALICIA-style insert_object must reproduce the batch-mined
         // iceberg lattice at any threshold cut — nodes, supports, edges —
@@ -235,7 +257,7 @@ proptest! {
 
     #[test]
     fn maintained_generators_equal_the_transversal_oracle_under_interleaving(
-        db in contexts(),
+        db in maybe_wide_contexts(),
         interleave in vec(0u32..2, 0..9),
     ) {
         // Any interleaving of object inserts and removals: after every

@@ -124,6 +124,54 @@ proptest! {
     }
 }
 
+/// Item `k` of a small vocabulary as an id spread across three 64-bit
+/// words (the packed intents a restore must rebuild are that wide).
+fn wide(row: &[u32]) -> Vec<u32> {
+    row.iter().map(|&k| k * 29 + k % 3).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn restored_wide_lattices_index_and_evolve_like_their_twin(
+        rows in vec(vec(0u32..8, 1..5), 2..12),
+        remove in vec(0usize..12, 0..5),
+        more in vec((vec(0u32..8, 0..5), 0usize..2), 1..6),
+    ) {
+        let rows: Vec<Vec<u32>> = rows.iter().map(|row| wide(row)).collect();
+        let lat = build(&rows, &remove, GenMaintenance::Local);
+        let mut back: IncrementalLattice =
+            serde_json::from_str(&serde_json::to_string(&lat).unwrap()).unwrap();
+
+        // The restore packs the intents again: every live one is found.
+        for id in (0..back.n_nodes()).filter(|&id| back.is_live(id)) {
+            prop_assert_eq!(back.position(back.node(id).0), Some(id));
+        }
+
+        // Further inserts and removes (a removal takes the oldest row
+        // still present) move both copies identically, delta for delta.
+        let mut twin = lat;
+        let mut present: Vec<Itemset> = Vec::new();
+        for (row, drop_oldest) in &more {
+            let row = Itemset::from_ids(wide(row));
+            let (a, b) = (back.insert_object_delta(&row), twin.insert_object_delta(&row));
+            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            present.push(row);
+            if *drop_oldest == 1 {
+                let victim = present.remove(0);
+                let (a, b) = (back.remove_object_delta(&victim), twin.remove_object_delta(&victim));
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+            prop_assert_eq!(observe(&back), observe(&twin));
+        }
+        prop_assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(&twin).unwrap()
+        );
+    }
+}
+
 #[test]
 fn corrupt_documents_are_rejected_not_panicked() {
     let lat = build(&[vec![0, 1], vec![1, 2]], &[], GenMaintenance::Local);
@@ -140,4 +188,14 @@ fn corrupt_documents_are_rejected_not_panicked() {
     // dead slot) is rejected by the wire validation.
     let broken = json.replace("\"alive\":[true", "\"alive\":[false");
     assert!(serde_json::from_str::<IncrementalLattice>(&broken).is_err());
+
+    // Intents out of order are rejected before anything is packed. The
+    // first two put the widest id first, so a width read off the last
+    // id would be too narrow to pack them (the second is the largest
+    // `u32`); the third repeats an id.
+    for intent in ["[200,1]", "[4294967295,1]", "[1,1]"] {
+        let unsorted = json.replacen("[[0,1],1]", &format!("[{intent},1]"), 1);
+        let err = serde_json::from_str::<IncrementalLattice>(&unsorted).unwrap_err();
+        assert!(err.to_string().contains("ascending"), "{intent}: {err}");
+    }
 }
