@@ -9,8 +9,9 @@
 //! times `CheckpointedMiner::recover` against the ablation: one fused
 //! re-mine of the full final context. Besides timing, it **asserts**
 //! the recovery invariants at bench scale: the checkpoint restore
-//! performs exactly **zero** support-engine calls (state is
-//! deserialized, never re-derived), the journal replay stays on the
+//! performs exactly **zero** support-engine calls (the rows, lattice and
+//! window are deserialized; the bases are derived from the lattice, which
+//! needs no engine query), the journal replay stays on the
 //! engine-call-free delta path, nothing is reported lost, and the
 //! recovered bases equal the re-mined oracle's. The CI-run twins live
 //! in `tests/recovery.rs`.

@@ -294,9 +294,10 @@ pub fn gated_benches() -> Vec<(&'static str, Vec<MetricCheck>)> {
             "recover",
             vec![
                 // The recovery invariant, pinned exactly: a checkpoint
-                // restore deserializes state and never re-derives it, so
-                // both cells hold zero support-engine calls during the
-                // restore — any call at all is a structural regression.
+                // restore deserializes the rows, lattice and window and
+                // derives the bases from the lattice alone, so both cells
+                // hold zero support-engine calls during the restore — any
+                // call at all is a structural regression.
                 MetricCheck::exact("cells.0.restore_engine_calls"),
                 MetricCheck::exact("cells.1.restore_engine_calls"),
                 // Journal replay rides the streaming delta path (also

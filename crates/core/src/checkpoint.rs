@@ -29,9 +29,16 @@
 //! **Checkpoint file** — one ASCII header line, then the payload:
 //!
 //! ```text
-//! rulebases-ckpt v1 len=<payload bytes> fnv=<16-hex FNV-1a 64>\n
+//! rulebases-ckpt v2 len=<payload bytes> fnv=<16-hex FNV-1a 64>\n
 //! <payload: the session's serde wire form, rendered as JSON>
 //! ```
+//!
+//! The `v2` payload holds only what cannot be derived: six config fields,
+//! the rows (`db`), the `lattice` with its tombstones and generator
+//! tags, the `window` and its TTL ledger (`batch_sizes`). Restore
+//! derives the bases from the lattice the way a seeded session does.
+//! `v1` also carried the base maps; it is a
+//! [`RecoveryError::VersionMismatch`] now.
 //!
 //! The header carries the format version, the exact payload length,
 //! and the payload's [FNV-1a 64](rulebases_dataset::checksum) digest;
@@ -60,14 +67,15 @@
 //! For *any* crash point — including a truncation at every byte
 //! boundary of the newest checkpoint or journal — recovery either
 //! reproduces the exact pre-crash session (database, lattice incl.
-//! tombstoned slot ids, generator tags, maintained bases, window
-//! state), or reports the lost suffix in a typed, non-panicking way.
+//! tombstoned slot ids, generator tags, window state, and the maintained
+//! bases derived from them), or reports the lost suffix in a typed,
+//! non-panicking way.
 //! This is property-tested in `tests/recovery.rs` across engine
 //! backends × batch schedules × window policies, with the fault
 //! injection done by [`FaultFs`].
 
 use crate::miner::{MinedBases, RuleMiner};
-use crate::stream::{BasesDelta, SessionWire, StreamError, StreamingMiner, Window};
+use crate::stream::{BasesDelta, StreamError, StreamingMiner, Window};
 use rulebases_dataset::checksum::fnv1a64;
 use rulebases_dataset::TransactionDb;
 use std::collections::BTreeMap;
@@ -79,7 +87,7 @@ use std::path::{Path, PathBuf};
 /// Checkpoint-file magic + version, the first tokens of the header line.
 const MAGIC: &str = "rulebases-ckpt";
 /// Current checkpoint format version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// Journal-record magic, the first token of every record.
 const RECORD_MAGIC: &str = "b1";
 /// A header longer than this is corrupt by definition (the real header
@@ -511,19 +519,10 @@ impl CheckpointedMiner {
         let mut restored: Option<(u64, PathBuf, u64, StreamingMiner)> = None;
         for (&seq, path) in checkpoints.iter().rev() {
             match load_checkpoint(path) {
-                Ok((wire, payload_len)) => match StreamingMiner::from_wire(wire) {
-                    Ok(session) => {
-                        restored = Some((seq, path.clone(), payload_len, session));
-                        break;
-                    }
-                    Err(detail) => rejected.push(
-                        RecoveryError::CorruptPayload {
-                            path: path.clone(),
-                            detail,
-                        }
-                        .to_string(),
-                    ),
-                },
+                Ok((session, payload_len)) => {
+                    restored = Some((seq, path.clone(), payload_len, session));
+                    break;
+                }
                 Err(e) => rejected.push(e.to_string()),
             }
         }
@@ -653,22 +652,7 @@ impl CheckpointedMiner {
     /// exactly as a crashed process would.
     pub fn checkpoint_with(&mut self, faults: &FaultFs) -> Result<PathBuf, CheckpointError> {
         let next = self.seq + 1;
-        let mut bytes = encode_checkpoint(&self.inner.to_wire())?;
-        faults.corrupt(&mut bytes);
-        let path = checkpoint_path(&self.dir, next);
-        let tmp = path.with_extension("ckpt.tmp");
-        write_synced(&tmp, &bytes).map_err(|error| CheckpointError::Io {
-            path: tmp.clone(),
-            error,
-        })?;
-        if faults.drop_rename {
-            return Ok(tmp);
-        }
-        fs::rename(&tmp, &path).map_err(|error| CheckpointError::Io {
-            path: path.clone(),
-            error,
-        })?;
-        sync_dir(&self.dir);
+        let path = write_generation(&self.dir, next, &self.inner, faults)?;
         if faults.is_clean() {
             let journal = journal_path(&self.dir, next);
             write_synced(&journal, b"").map_err(|error| CheckpointError::Io {
@@ -741,18 +725,43 @@ pub fn write_snapshot(
         .max()
         .unwrap_or(0)
         + 1;
-    let bytes = encode_checkpoint(&session.to_wire())?;
-    let path = checkpoint_path(&dir, next);
+    write_generation(&dir, next, session, &FaultFs::default())
+}
+
+/// Writes `session` as checkpoint generation `seq` of `dir` — the one
+/// write path of every checkpoint: frame the payload (header line +
+/// JSON), apply `faults`, write a temp file → sync → atomic rename →
+/// directory sync. A dropped rename leaves the temp file and returns it.
+fn write_generation(
+    dir: &Path,
+    seq: u64,
+    session: &StreamingMiner,
+    faults: &FaultFs,
+) -> Result<PathBuf, CheckpointError> {
+    let payload = serde_json::to_string(&session.to_wire())
+        .map_err(|e| CheckpointError::Encode(e.to_string()))?;
+    let digest = fnv1a64(payload.as_bytes());
+    let mut bytes = format!(
+        "{MAGIC} v{VERSION} len={} fnv={digest:016x}\n",
+        payload.len()
+    )
+    .into_bytes();
+    bytes.extend_from_slice(payload.as_bytes());
+    faults.corrupt(&mut bytes);
+    let path = checkpoint_path(dir, seq);
     let tmp = path.with_extension("ckpt.tmp");
     write_synced(&tmp, &bytes).map_err(|error| CheckpointError::Io {
         path: tmp.clone(),
         error,
     })?;
+    if faults.drop_rename {
+        return Ok(tmp);
+    }
     fs::rename(&tmp, &path).map_err(|error| CheckpointError::Io {
         path: path.clone(),
         error,
     })?;
-    sync_dir(&dir);
+    sync_dir(dir);
     Ok(path)
 }
 
@@ -837,24 +846,11 @@ fn retire_generations(dir: &Path, keep_from: u64) {
     }
 }
 
-/// Renders the framed checkpoint bytes: header line + JSON payload.
-fn encode_checkpoint(wire: &SessionWire) -> Result<Vec<u8>, CheckpointError> {
-    let payload =
-        serde_json::to_string(wire).map_err(|e| CheckpointError::Encode(e.to_string()))?;
-    let digest = fnv1a64(payload.as_bytes());
-    let mut bytes = format!(
-        "{MAGIC} v{VERSION} len={} fnv={digest:016x}\n",
-        payload.len()
-    )
-    .into_bytes();
-    bytes.extend_from_slice(payload.as_bytes());
-    Ok(bytes)
-}
-
 /// Reads and validates one checkpoint file: header shape, version,
-/// declared length, checksum — then deserializes the payload. Returns
-/// the wire form and the payload length.
-fn load_checkpoint(path: &Path) -> Result<(SessionWire, u64), RecoveryError> {
+/// declared length, checksum — then deserializes the payload and
+/// restores the session from it. Returns the session and the payload
+/// length.
+fn load_checkpoint(path: &Path) -> Result<(StreamingMiner, u64), RecoveryError> {
     let bytes = fs::read(path).map_err(|error| RecoveryError::Io {
         path: path.to_path_buf(),
         error,
@@ -924,12 +920,14 @@ fn load_checkpoint(path: &Path) -> Result<(SessionWire, u64), RecoveryError> {
         path: path.to_path_buf(),
         detail: format!("payload is not UTF-8: {e}"),
     })?;
-    let wire: SessionWire =
-        serde_json::from_str(text).map_err(|e| RecoveryError::CorruptPayload {
+    let session = serde_json::from_str(text)
+        .map_err(|e| e.to_string())
+        .and_then(StreamingMiner::from_wire)
+        .map_err(|detail| RecoveryError::CorruptPayload {
             path: path.to_path_buf(),
-            detail: e.to_string(),
+            detail,
         })?;
-    Ok((wire, len))
+    Ok((session, len))
 }
 
 /// Renders one framed journal record for a batch's rows.

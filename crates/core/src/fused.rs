@@ -214,9 +214,10 @@ pub(crate) fn derive_frequent(
 /// Assembles a [`MinedBases`] bundle from a finished lattice (+ its
 /// generator tags): `F` derived from `FC` by the generating-set property,
 /// the DG basis from the derived sets, both Luxenburger bases read off
-/// the lattice. The common tail of the fused pipeline and of every
-/// [`StreamingMiner`](crate::stream::StreamingMiner) batch — the batch
-/// pipeline is literally the one-snapshot case of the streaming one.
+/// the lattice. The tail of the fused pipeline only: a
+/// [`StreamingMiner`](crate::stream::StreamingMiner) batch patches its
+/// maintained bases instead, and its materialization reads those
+/// patched maps.
 pub(crate) fn assemble_bases(
     miner: &RuleMiner,
     ctx: &MiningContext,

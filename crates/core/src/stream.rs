@@ -95,7 +95,8 @@ use crate::fused::{derive_frequent, min_count_for, PipelineKind};
 use crate::miner::{MinedBases, RuleMiner};
 use crate::rule::Rule;
 use rulebases_dataset::{
-    DatasetError, DeltaError, EngineKind, Itemset, MiningContext, Support, TransactionDb, TxDelta,
+    DatasetError, DeltaError, EngineKind, Itemset, MinSupport, MiningContext, Support,
+    TransactionDb, TxDelta,
 };
 use rulebases_lattice::{
     pseudo_closed_of_family, GenStats, IncrementalLattice, LatticeDelta, PseudoClosed,
@@ -124,8 +125,8 @@ pub enum Window {
     Sliding(usize),
     /// Keep the rows of the newest `n` batches: a batch's rows expire
     /// wholesale once `n` newer non-empty batches have been pushed.
-    /// The seed database counts as one batch; empty pushes do not age
-    /// the window.
+    /// The rows held when the policy is set (the seed, say) count as
+    /// one batch; empty pushes do not age the window.
     Ttl(usize),
 }
 
@@ -331,9 +332,11 @@ type RuleKey = (Itemset, Itemset);
 
 /// The incrementally maintained products of a streaming session: iceberg
 /// membership per lattice node, the two Luxenburger rule maps, and the
-/// Duquenne-Guigues premises. [`StreamingMiner::push_batch`] patches this
-/// in place from each batch's [`LatticeDelta`]; materializing a
-/// [`MinedBases`] bundle just reads it out.
+/// Duquenne-Guigues premises. All of it is a function of the lattice and
+/// the row count: [`MaintainedBases::rebuild`] derives it when a session
+/// is seeded or restored, [`StreamingMiner::push_batch`] patches it in
+/// place from each batch's [`LatticeDelta`], and materializing a
+/// [`MinedBases`] bundle just reads it out. It is never persisted.
 #[derive(Debug, Default)]
 struct MaintainedBases {
     /// Absolute support threshold at the current row count.
@@ -436,6 +439,13 @@ fn reconcile(
     }
 }
 
+/// The rows a TTL ledger accounts for (`None` when the sum overflows).
+fn ledger_rows<'a>(ledger: impl IntoIterator<Item = &'a usize>) -> Option<usize> {
+    ledger
+        .into_iter()
+        .try_fold(0usize, |sum, &rows| sum.checked_add(rows))
+}
+
 /// The DG rule of one pseudo-closed entry.
 fn dg_rule(p: &PseudoClosed) -> Rule {
     Rule::new(
@@ -447,9 +457,10 @@ fn dg_rule(p: &PseudoClosed) -> Rule {
 }
 
 impl MaintainedBases {
-    /// Rebuilds the whole maintained state from scratch against the
-    /// current lattice — the seed-time construction (per-batch updates
-    /// go through [`StreamingMiner::patch_bases`] instead).
+    /// Derives the whole maintained state from the lattice and the row
+    /// count, with zero engine calls — for a seeded session and a
+    /// restored one alike (per-batch updates go through
+    /// [`StreamingMiner::patch_bases`] instead).
     fn rebuild(config: &RuleMiner, ctx: &MiningContext, lattice: &IncrementalLattice) -> Self {
         let minconf = config.min_confidence_config();
         let include_empty = config.include_empty_antecedent_config();
@@ -533,18 +544,20 @@ pub struct StreamingMiner {
 
 impl StreamingMiner {
     pub(crate) fn new(config: RuleMiner, db: TransactionDb) -> Self {
-        let db = Arc::new(db);
-        let ctx = MiningContext::with_engine_arc(Arc::clone(&db), config.engine_config());
         let mut lattice = IncrementalLattice::new();
         for t in 0..db.n_transactions() {
             lattice.insert_object(&Itemset::from_sorted(db.transaction(t).to_vec()));
         }
+        Self::assemble(config, Arc::new(db), lattice)
+    }
+
+    /// The steps [`StreamingMiner::new`] and [`StreamingMiner::from_wire`]
+    /// share once they hold a lattice: build the engine over `db` and
+    /// derive the maintained bases with [`MaintainedBases::rebuild`]. The
+    /// session starts unbounded, with an empty TTL ledger.
+    fn assemble(config: RuleMiner, db: Arc<TransactionDb>, lattice: IncrementalLattice) -> Self {
+        let ctx = MiningContext::with_engine_arc(Arc::clone(&db), config.engine_config());
         let state = MaintainedBases::rebuild(&config, &ctx, &lattice);
-        let mut batch_sizes = VecDeque::new();
-        if db.n_transactions() > 0 {
-            // The seed ages like one batch under a Ttl policy.
-            batch_sizes.push_back(db.n_transactions());
-        }
         StreamingMiner {
             config,
             db,
@@ -552,7 +565,7 @@ impl StreamingMiner {
             lattice,
             state,
             window: Window::Unbounded,
-            batch_sizes,
+            batch_sizes: VecDeque::new(),
             cached: None,
         }
     }
@@ -568,8 +581,16 @@ impl StreamingMiner {
     }
 
     /// In-place form of [`StreamingMiner::window`] — for sessions
-    /// already embedded somewhere (e.g. a server).
+    /// already embedded somewhere (e.g. a server). On a switch to
+    /// [`Window::Ttl`], rows the aging ledger does not account for
+    /// (pushed under another policy) age as one batch, as the seed does.
     pub fn set_window(&mut self, window: Window) {
+        if matches!(window, Window::Ttl(_))
+            && ledger_rows(&self.batch_sizes) != Some(self.n_objects())
+        {
+            let rows = self.n_objects();
+            self.batch_sizes = (rows > 0).then_some(rows).into_iter().collect();
+        }
         self.window = window;
     }
 
@@ -980,12 +1001,13 @@ impl StreamingMiner {
         self.lattice.n_nodes()
     }
 
-    /// Captures the whole session as its serializable wire form — the
-    /// payload [`crate::checkpoint`] frames, checksums, and persists.
-    /// The engine is recorded as the session's *resolved* backend, so a
-    /// restore rebuilds the exact same engine even when the session was
-    /// configured with [`rulebases_dataset::EngineKind::Auto`]. The
-    /// materialization cache is transient and not captured.
+    /// Captures the session as its serializable wire form — the payload
+    /// [`crate::checkpoint`] frames, checksums, and persists. It holds
+    /// only what restore cannot derive: the bases are rebuilt from the
+    /// lattice (see [`StreamingMiner::from_wire`]). The engine is
+    /// recorded as the session's *resolved* backend, so a restore
+    /// rebuilds the exact same engine even when the session was
+    /// configured with [`rulebases_dataset::EngineKind::Auto`].
     pub(crate) fn to_wire(&self) -> SessionWire {
         SessionWire {
             min_support: self.config.min_support_config(),
@@ -998,27 +1020,28 @@ impl StreamingMiner {
             lattice: self.lattice.clone(),
             window: self.window,
             batch_sizes: self.batch_sizes.iter().copied().collect(),
-            min_count: self.state.min_count,
-            in_iceberg: self.state.in_iceberg.clone(),
-            lux_reduced: self.state.lux_reduced.values().cloned().collect(),
-            lux_full: self.state.lux_full.values().cloned().collect(),
-            dg: self.state.dg.clone(),
-            dg_nodes: self.state.dg_nodes.clone(),
         }
     }
 
     /// Rebuilds a session from its wire form — the restore half of
-    /// [`StreamingMiner::to_wire`]. Deliberately **not** the seed path
-    /// of [`StreamingMiner::new`]: the lattice is installed as
+    /// [`StreamingMiner::to_wire`]. The lattice is installed as
     /// persisted (tombstones, generator tags, and slot ids intact — a
-    /// seed replay would renumber the slots and recycle freed ids), the
-    /// maintained maps are rekeyed from the persisted rules, and the
-    /// support engine is *constructed* over the restored rows but never
-    /// *queried* — the whole restore performs zero support-engine calls.
+    /// seed replay would renumber the slots and recycle freed ids), then
+    /// restore takes the seed path: the engine is *constructed* over the
+    /// restored rows and [`MaintainedBases::rebuild`] derives the bases
+    /// from the lattice, so the engine is never *queried* — the whole
+    /// restore performs zero support-engine calls.
     ///
-    /// Fails (never panics) on a wire that is internally inconsistent —
-    /// the last line of defense behind the checkpoint frame's checksum.
+    /// Fails with a reason, rather than panicking later, on a
+    /// configuration or TTL ledger no session can hold — the last line
+    /// of defense behind the checkpoint frame's checksum (the lattice
+    /// checks its own encoding as it is deserialized).
     pub(crate) fn from_wire(wire: SessionWire) -> Result<StreamingMiner, String> {
+        if let MinSupport::Fraction(f) = wire.min_support {
+            if !(0.0..=1.0).contains(&f) {
+                return Err(format!("min_support {f} outside [0, 1]"));
+            }
+        }
         if !(0.0..=1.0).contains(&wire.min_confidence) {
             return Err(format!(
                 "min_confidence {} outside [0, 1]",
@@ -1029,26 +1052,12 @@ impl StreamingMiner {
             .engine
             .parse()
             .map_err(|e| format!("engine {:?}: {e}", wire.engine))?;
-        let n = wire.lattice.n_nodes();
-        if wire.in_iceberg.len() != n {
+        let n = wire.db.n_transactions();
+        if matches!(wire.window, Window::Ttl(_)) && ledger_rows(&wire.batch_sizes) != Some(n) {
             return Err(format!(
-                "iceberg flags cover {} slots, lattice has {n}",
-                wire.in_iceberg.len()
+                "TTL ledger of {} batches does not account for the {n} rows held",
+                wire.batch_sizes.len()
             ));
-        }
-        if wire.dg_nodes.len() != wire.dg.len() {
-            return Err(format!(
-                "{} pseudo-closed sets but {} closure node ids",
-                wire.dg.len(),
-                wire.dg_nodes.len()
-            ));
-        }
-        if let Some(&bad) = wire
-            .dg_nodes
-            .iter()
-            .find(|&&id| id >= n || !wire.lattice.is_live(id))
-        {
-            return Err(format!("pseudo-closure node {bad} is not a live class"));
         }
         let config = RuleMiner::new(wire.min_support)
             .min_confidence(wire.min_confidence)
@@ -1056,48 +1065,23 @@ impl StreamingMiner {
             .include_empty_antecedent(wire.include_empty_antecedent)
             .engine(engine)
             .parallelism(wire.parallelism);
-        let db = Arc::new(wire.db);
-        let ctx = MiningContext::with_engine_arc(Arc::clone(&db), config.engine_config());
-        let state = MaintainedBases {
-            min_count: wire.min_count,
-            in_iceberg: wire.in_iceberg,
-            lux_reduced: wire
-                .lux_reduced
-                .into_iter()
-                .map(|r| (r.sort_key(), r))
-                .collect(),
-            lux_full: wire
-                .lux_full
-                .into_iter()
-                .map(|r| (r.sort_key(), r))
-                .collect(),
-            dg: wire.dg,
-            dg_nodes: wire.dg_nodes,
-        };
-        Ok(StreamingMiner {
-            config,
-            db,
-            ctx,
-            lattice: wire.lattice,
-            state,
-            window: wire.window,
-            batch_sizes: wire.batch_sizes.into(),
-            cached: None,
-        })
+        let mut session = Self::assemble(config, Arc::new(wire.db), wire.lattice);
+        session.window = wire.window;
+        session.batch_sizes = wire.batch_sizes.into();
+        Ok(session)
     }
 }
 
 /// The on-wire shape of a [`StreamingMiner`] session: configuration
 /// (thresholds, resolved engine, thread policy), the grown database,
-/// the incremental lattice with its tombstones and generator tags, the
-/// maintained base maps (flattened to canonical rule lists — the map
-/// keys are [`Rule::sort_key`] and are rebuilt on restore), and the
-/// window policy with its TTL aging ledger. [`crate::checkpoint`] wraps
-/// this in a versioned, checksummed frame; the shape itself is plain
-/// serde so the lattice and dataset layers own their own encodings.
+/// the incremental lattice with its tombstones and generator tags, and
+/// the window policy with its TTL aging ledger — no base maps, which
+/// restore derives. [`crate::checkpoint`] wraps this in a versioned,
+/// checksummed frame; the shape itself is plain serde so the lattice
+/// and dataset layers own their own encodings.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct SessionWire {
-    pub(crate) min_support: rulebases_dataset::MinSupport,
+    pub(crate) min_support: MinSupport,
     pub(crate) min_confidence: f64,
     pub(crate) algorithm: ClosedAlgorithm,
     pub(crate) include_empty_antecedent: bool,
@@ -1108,12 +1092,6 @@ pub(crate) struct SessionWire {
     pub(crate) lattice: IncrementalLattice,
     pub(crate) window: Window,
     pub(crate) batch_sizes: Vec<usize>,
-    pub(crate) min_count: Support,
-    pub(crate) in_iceberg: Vec<bool>,
-    pub(crate) lux_reduced: Vec<Rule>,
-    pub(crate) lux_full: Vec<Rule>,
-    pub(crate) dg: Vec<PseudoClosed>,
-    pub(crate) dg_nodes: Vec<usize>,
 }
 
 #[cfg(test)]

@@ -16,11 +16,10 @@ use crate::implications::{Implication, ImplicationSet};
 use crate::next_closure::next_closed;
 use rulebases_dataset::{Item, Itemset, Support};
 use rulebases_mining::{ClosedItemsets, FrequentItemsets};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A frequent pseudo-closed itemset with its closure and support.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PseudoClosed {
     /// The pseudo-closed itemset `P`.
     pub set: Itemset,

@@ -60,10 +60,14 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 }
 
 /// Parses a JSON string into the generic [`Value`] tree.
+///
+/// Arrays and objects may nest at most 128 deep, real `serde_json`'s
+/// recursion limit: the parser recurses once per level, so a deeper
+/// document is an error rather than a stack overflow.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let value = parse_value(s, bytes, &mut pos)?;
+    let value = parse_value(s, bytes, &mut pos, 128)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::at("trailing input", bytes, pos));
@@ -136,8 +140,13 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(s: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses the value at `pos`, inside which `depth` more arrays or
+/// objects may open.
+fn parse_value(s: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == 0 {
+        return Err(Error::at("recursion limit exceeded", bytes, *pos));
+    }
     match bytes.get(*pos) {
         None => Err(Error::at("unexpected end of input", bytes, *pos)),
         Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
@@ -153,7 +162,7 @@ fn parse_value(s: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(s, bytes, pos)?);
+                items.push(parse_value(s, bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -181,7 +190,7 @@ fn parse_value(s: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error::at("expected ':'", bytes, *pos));
                 }
                 *pos += 1;
-                let value = parse_value(s, bytes, pos)?;
+                let value = parse_value(s, bytes, pos, depth - 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -336,6 +345,26 @@ mod tests {
         // A string torn mid-way is positioned too.
         let err = parse("{\"a\": \"unterminated").unwrap_err().to_string();
         assert_eq!(err, "unterminated string at byte 19 (line 1, column 20)");
+    }
+
+    #[test]
+    fn nesting_stops_at_depth_128_with_an_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(128)).is_ok());
+        let objects = format!("{}{{}}{}", r#"{"a":"#.repeat(127), "}".repeat(127));
+        assert!(parse(&objects).is_ok());
+        let err = parse(&nested(129)).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "recursion limit exceeded at byte 128 (line 1, column 129)"
+        );
+        // An unterminated million-deep document fails at the same depth,
+        // without recursing any further.
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err().to_string();
+        assert!(
+            err.starts_with("recursion limit exceeded at byte 128"),
+            "{err}"
+        );
     }
 
     #[test]

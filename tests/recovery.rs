@@ -3,11 +3,15 @@
 //! The contract of `RuleMiner::checkpointing`: dropping a durable
 //! session at *any* point and recovering its directory rebuilds exactly
 //! the pre-crash session — database, lattice (including tombstoned slot
-//! ids and generator tags), maintained bases, window state, and the TTL
-//! batch ledger — over any engine backend, batch schedule, and window
-//! policy, with **zero** support-engine calls during the restore. Full
-//! state equality is asserted byte-for-byte on the session's canonical
-//! wire form, so nothing the session persists can silently drift.
+//! ids and generator tags), window state, the TTL batch ledger, and the
+//! maintained bases — over any engine backend, batch schedule, and
+//! window policy, with **zero** support-engine calls during the restore.
+//! A checkpoint persists the first four; restore derives the bases from
+//! the restored lattice, the way a freshly seeded session does. So the
+//! persisted state is asserted byte-for-byte on the session's canonical
+//! wire form, and the derived state on the materialized bases and on the
+//! deltas of the next push: a rebuilt base map that differs from the
+//! uncrashed twin's patched one shows up in either.
 //!
 //! The fault half of the contract: truncating the newest checkpoint or
 //! journal at *every byte boundary* (and flipping bits, and dropping
@@ -22,7 +26,7 @@ use proptest::prelude::*;
 use rulebases::checkpoint::{
     write_snapshot, CheckpointPolicy, CheckpointedMiner, FaultFs, RecoveryError,
 };
-use rulebases::{RuleMiner, StreamingMiner, Window};
+use rulebases::{BasesDelta, MinedBases, RuleMiner, StreamingMiner, Window};
 use rulebases_dataset::checksum::fnv1a64;
 use rulebases_dataset::{EngineKind, MinSupport, TransactionDb};
 use std::fs;
@@ -75,6 +79,78 @@ fn read_payload(path: &Path) -> String {
     let bytes = fs::read(path).unwrap();
     let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
     String::from_utf8(bytes[nl + 1..].to_vec()).unwrap()
+}
+
+/// Rewrites the payload of the checkpoint at `path` to `payload`, framed
+/// under the file's own header version with a correct length and
+/// checksum — a well-formed file whose content only restore can judge.
+fn reframe(path: &Path, payload: &str) {
+    let bytes = fs::read(path).unwrap();
+    let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+    let header = std::str::from_utf8(&bytes[..nl]).unwrap();
+    let version = header.split(' ').nth(1).unwrap();
+    let framed = format!(
+        "rulebases-ckpt {version} len={} fnv={:016x}\n{payload}",
+        payload.len(),
+        fnv1a64(payload.as_bytes())
+    );
+    fs::write(path, framed).unwrap();
+}
+
+/// Recovers `dir`, expecting every checkpoint in it to be rejected, and
+/// returns the rejections.
+fn expect_no_checkpoint(dir: &Path) -> Vec<String> {
+    match CheckpointedMiner::recover(dir) {
+        Err(RecoveryError::NoCheckpoint { rejected, .. }) => rejected,
+        other => panic!("expected NoCheckpoint, got {other:?}"),
+    }
+}
+
+/// Asserts two materialized bundles hold the same bases.
+fn assert_same_bases(a: &MinedBases, b: &MinedBases, label: &str) {
+    assert_eq!(
+        a.closed.clone().into_sorted_vec(),
+        b.closed.clone().into_sorted_vec(),
+        "{label}: closed sets"
+    );
+    assert_eq!(
+        a.lattice.edges().collect::<Vec<_>>(),
+        b.lattice.edges().collect::<Vec<_>>(),
+        "{label}: Hasse edges"
+    );
+    assert_eq!(a.dg.rules(), b.dg.rules(), "{label}: DG");
+    assert_eq!(a.lux_full.rules(), b.lux_full.rules(), "{label}: Lux full");
+    assert_eq!(
+        a.lux_reduced.rules(),
+        b.lux_reduced.rules(),
+        "{label}: Lux reduced"
+    );
+    assert_eq!(a.min_count, b.min_count, "{label}: min_count");
+}
+
+/// Asserts two deltas of the same push report the same movement, field
+/// by field.
+fn assert_same_delta(a: &BasesDelta, b: &BasesDelta, label: &str) {
+    assert_eq!(
+        (a.epoch, a.appended, a.expired, a.n_objects, a.min_count),
+        (b.epoch, b.appended, b.expired, b.n_objects, b.min_count),
+        "{label}: epoch, appended, expired, n_objects, min_count"
+    );
+    assert_eq!(a.closed_added, b.closed_added, "{label}: closed added");
+    assert_eq!(
+        a.closed_removed, b.closed_removed,
+        "{label}: closed removed"
+    );
+    for (name, x, y) in [
+        ("DG", &a.dg, &b.dg),
+        ("Lux full", &a.lux_full, &b.lux_full),
+        ("Lux reduced", &a.lux_reduced, &b.lux_reduced),
+    ] {
+        assert_eq!(x.added, y.added, "{label}: {name} added");
+        assert_eq!(x.removed, y.removed, "{label}: {name} removed");
+        assert_eq!(x.restated, y.restated, "{label}: {name} restated");
+    }
+    assert_eq!(a.gen, b.gen, "{label}: generator work");
 }
 
 /// A live session's canonical wire form, via a throwaway snapshot.
@@ -145,24 +221,23 @@ proptest! {
                 "{}: replay must stay on the delta path", label
             );
 
-            // Full-state equality, byte for byte: db, lattice incl.
-            // tombstones and generator tags, bases, window, TTL ledger.
+            // Persisted-state equality, byte for byte: db, lattice incl.
+            // tombstones and generator tags, window, TTL ledger.
             prop_assert_eq!(folded_payload(&recovered), wire_of(&twin), "{}", label);
+            // The derived state: the bases restore rebuilt from the
+            // lattice equal the ones the twin patched batch by batch.
+            assert_same_bases(recovered.bases(), twin.bases(), &format!("{label}: recovered"));
 
-            // The recovered session keeps streaming identically.
+            // The recovered session keeps streaming identically: the
+            // push moves the rebuilt maps exactly as it moves the twin's.
             let extra = census_rows(n_rows + 5).split_off(n_rows);
             let d1 = recovered.push_batch(extra.clone()).unwrap();
             let d2 = twin.push_batch(extra).unwrap();
-            prop_assert_eq!(d1.n_objects, d2.n_objects, "{}", label);
-            prop_assert_eq!(
-                recovered.bases().dg.rules(),
-                twin.bases().dg.rules(),
-                "{}: DG basis after post-recovery push", label
-            );
-            prop_assert_eq!(
-                recovered.bases().lux_reduced.rules(),
-                twin.bases().lux_reduced.rules(),
-                "{}: reduced Luxenburger basis after post-recovery push", label
+            assert_same_delta(&d1, &d2, &format!("{label}: post-recovery push"));
+            assert_same_bases(
+                recovered.bases(),
+                twin.bases(),
+                &format!("{label}: after post-recovery push"),
             );
             prop_assert_eq!(wire_of(recovered.session()), wire_of(&twin), "{}", label);
         }
@@ -367,14 +442,57 @@ fn an_unknown_format_version_is_skipped_with_a_typed_reason() {
         b"rulebases-ckpt v9 len=0 fnv=0000000000000000\n",
     )
     .unwrap();
+    // A v1 file — the format that also persisted the base maps — with a
+    // correct length and checksum is still an unknown version.
+    let payload = read_payload(&dir.path().join("checkpoint-000002.ckpt"));
+    fs::write(
+        dir.path().join("checkpoint-000004.ckpt"),
+        format!(
+            "rulebases-ckpt v1 len={} fnv={:016x}\n{payload}",
+            payload.len(),
+            fnv1a64(payload.as_bytes())
+        ),
+    )
+    .unwrap();
     let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
     assert_eq!(report.checkpoint_seq, 2);
-    assert!(report
-        .skipped
-        .iter()
-        .any(|s| s.contains("format version 9")));
+    for version in ["format version 1,", "format version 9,"] {
+        assert!(
+            report.skipped.iter().any(|s| s.contains(version)),
+            "{version} {:?}",
+            report.skipped
+        );
+    }
     assert!(report.lost.is_none());
     assert_eq!(folded_payload(&recovered), full);
+}
+
+#[test]
+fn a_checkpoint_payload_holds_only_what_restore_cannot_derive() {
+    let (dir, _files, _mid, _full) = two_generation_fixture();
+    let payload = read_payload(&dir.path().join("checkpoint-000002.ckpt"));
+    let value = serde_json::parse(&payload).unwrap();
+    let keys: Vec<&str> = value
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "min_support",
+            "min_confidence",
+            "algorithm",
+            "include_empty_antecedent",
+            "engine",
+            "parallelism",
+            "db",
+            "lattice",
+            "window",
+            "batch_sizes",
+        ]
+    );
 }
 
 #[test]
@@ -393,32 +511,122 @@ fn a_checkpoint_naming_a_removed_engine_is_rejected_with_a_typed_reason() {
         .path()
         .join(format!("checkpoint-{:06}.ckpt", ckpt.generation()));
     drop(ckpt);
-    let bytes = fs::read(&path).unwrap();
-    let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
-    let header = std::str::from_utf8(&bytes[..nl]).unwrap();
-    let version = header.split(' ').nth(1).unwrap();
     let payload = read_payload(&path);
     assert!(payload.contains(r#""engine":"dense""#), "{payload}");
-    let payload = payload.replace(r#""engine":"dense""#, r#""engine":"sharded:2:auto""#);
-    let framed = format!(
-        "rulebases-ckpt {version} len={} fnv={:016x}\n{payload}",
-        payload.len(),
-        fnv1a64(payload.as_bytes())
+    reframe(
+        &path,
+        &payload.replace(r#""engine":"dense""#, r#""engine":"sharded:2:auto""#),
     );
-    fs::write(&path, framed).unwrap();
 
-    match CheckpointedMiner::recover(dir.path()) {
-        Err(RecoveryError::NoCheckpoint { rejected, .. }) => {
-            assert_eq!(rejected.len(), 1, "{rejected:?}");
-            assert!(
-                rejected[0].contains(r#"engine "sharded:2:auto""#)
-                    && rejected[0].contains("expected auto, dense, or tid-list"),
-                "{}",
-                rejected[0]
-            );
-        }
-        other => panic!("expected NoCheckpoint, got {other:?}"),
+    let rejected = expect_no_checkpoint(dir.path());
+    assert_eq!(rejected.len(), 1, "{rejected:?}");
+    assert!(
+        rejected[0].contains(r#"engine "sharded:2:auto""#)
+            && rejected[0].contains("expected auto, dense, or tid-list"),
+        "{}",
+        rejected[0]
+    );
+}
+
+#[test]
+fn a_payload_nested_past_the_parser_limit_is_rejected_with_a_typed_reason() {
+    // A million unclosed brackets, framed with a correct length and
+    // checksum: the parser stops at its nesting limit instead of
+    // recursing once per bracket.
+    let dir = TempDir::new("deep");
+    let config = RuleMiner::new(MinSupport::Count(2)).min_confidence(0.5);
+    let (ckpt, _) = config
+        .checkpointing(TransactionDb::from_rows(census_rows(6)), dir.path())
+        .unwrap();
+    let path = dir
+        .path()
+        .join(format!("checkpoint-{:06}.ckpt", ckpt.generation()));
+    drop(ckpt);
+    reframe(&path, &"[".repeat(1_000_000));
+
+    let rejected = expect_no_checkpoint(dir.path());
+    assert_eq!(rejected.len(), 1, "{rejected:?}");
+    assert!(
+        rejected[0].contains("recursion limit exceeded"),
+        "{}",
+        rejected[0]
+    );
+}
+
+#[test]
+fn a_fractional_min_support_outside_the_unit_interval_is_rejected() {
+    // A checksum-valid payload whose threshold no session can hold, with
+    // a journaled batch behind it: restore rejects it before deriving
+    // anything or replaying the batch.
+    let dir = TempDir::new("minsup");
+    let rows = census_rows(10);
+    let config = RuleMiner::new(MinSupport::Fraction(0.5)).min_confidence(0.5);
+    let (mut ckpt, _) = config
+        .checkpointing(TransactionDb::from_rows(rows[..6].to_vec()), dir.path())
+        .unwrap();
+    ckpt.push_batch(rows[6..].to_vec()).unwrap();
+    let path = dir
+        .path()
+        .join(format!("checkpoint-{:06}.ckpt", ckpt.generation()));
+    drop(ckpt);
+    let payload = read_payload(&path);
+    assert!(
+        payload.contains(r#""min_support":{"Fraction":0.5}"#),
+        "{payload}"
+    );
+    reframe(
+        &path,
+        &payload.replace(
+            r#""min_support":{"Fraction":0.5}"#,
+            r#""min_support":{"Fraction":1.5}"#,
+        ),
+    );
+
+    let rejected = expect_no_checkpoint(dir.path());
+    assert_eq!(rejected.len(), 1, "{rejected:?}");
+    assert!(
+        rejected[0].contains("min_support 1.5 outside [0, 1]"),
+        "{}",
+        rejected[0]
+    );
+}
+
+#[test]
+fn a_ttl_ledger_that_does_not_cover_the_rows_is_rejected() {
+    // A Ttl(1) checkpoint whose ledger claims more rows than the db
+    // holds, with a journaled batch behind it: replaying that batch
+    // would expire rows that do not exist, so restore rejects the
+    // ledger first.
+    let dir = TempDir::new("ledger");
+    let rows = census_rows(12);
+    let config = RuleMiner::new(MinSupport::Count(2)).min_confidence(0.5);
+    let (mut ckpt, _) = config
+        .checkpointing(TransactionDb::from_rows(rows[..8].to_vec()), dir.path())
+        .unwrap();
+    ckpt.set_window(Window::Ttl(1)).unwrap();
+    ckpt.push_batch(rows[8..].to_vec()).unwrap();
+    let generation = ckpt.generation();
+    drop(ckpt);
+    // Keep only the Ttl generation, so nothing older can stand in for it.
+    for seq in 1..generation {
+        fs::remove_file(dir.path().join(format!("checkpoint-{seq:06}.ckpt"))).unwrap();
+        fs::remove_file(dir.path().join(format!("journal-{seq:06}.log"))).unwrap();
     }
+    let path = dir.path().join(format!("checkpoint-{generation:06}.ckpt"));
+    let payload = read_payload(&path);
+    assert!(payload.contains(r#""batch_sizes":[8]"#), "{payload}");
+    reframe(
+        &path,
+        &payload.replace(r#""batch_sizes":[8]"#, r#""batch_sizes":[8,8]"#),
+    );
+
+    let rejected = expect_no_checkpoint(dir.path());
+    assert_eq!(rejected.len(), 1, "{rejected:?}");
+    assert!(
+        rejected[0].contains("TTL ledger of 2 batches does not account for the 8 rows held"),
+        "{}",
+        rejected[0]
+    );
 }
 
 #[test]

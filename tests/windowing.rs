@@ -232,3 +232,37 @@ fn oversized_seed_trims_on_first_push() {
         .mine(TransactionDb::from_rows(tail));
     assert_windowed_matches_fresh(stream.bases(), &fresh, "oversized seed");
 }
+
+/// Switching an unbounded session to `Ttl` ages the rows it already
+/// holds as one batch, the way the seed does: the ledger never recorded
+/// the batches pushed before the switch, so without that those rows
+/// would never expire.
+#[test]
+fn switching_to_ttl_ages_the_rows_already_held_as_one_batch() {
+    let rows = census_rows(40);
+    let miner = RuleMiner::new(MinSupport::Count(2)).min_confidence(0.5);
+    let fused = miner.clone().pipeline(PipelineKind::Fused);
+    let mut stream = miner.streaming(TransactionDb::from_rows(rows[..4].to_vec()));
+    for chunk in rows[4..16].chunks(4) {
+        stream.push_batch(chunk.to_vec()).unwrap();
+    }
+    stream.set_window(Window::Ttl(2));
+    assert_eq!(stream.n_objects(), 16, "the switch itself must not expire");
+    let mut kept: Vec<Vec<Vec<u32>>> = vec![rows[..16].to_vec()];
+    for chunk in rows[16..].chunks(4) {
+        let delta = stream.push_batch(chunk.to_vec()).unwrap();
+        kept.push(chunk.to_vec());
+        let expired: usize = if kept.len() > 2 {
+            kept.drain(..kept.len() - 2).map(|b| b.len()).sum()
+        } else {
+            0
+        };
+        assert_eq!(delta.expired, expired);
+        let window_rows: Vec<Vec<u32>> = kept.iter().flatten().cloned().collect();
+        assert_eq!(stream.n_objects(), window_rows.len());
+        let fresh = fused.mine(TransactionDb::from_rows(window_rows));
+        let label = format!("epoch {}", stream.epoch());
+        assert_windowed_matches_fresh(stream.bases(), &fresh, &label);
+    }
+    assert_eq!(stream.n_objects(), 8);
+}
