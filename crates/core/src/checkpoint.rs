@@ -4,22 +4,23 @@
 //! only in memory. This module makes a [`StreamingMiner`] session
 //! *durable*: [`CheckpointedMiner`] wraps a session in an on-disk
 //! directory holding periodic full checkpoints plus an append-only
-//! journal of the batches pushed since the last one, and
+//! journal of the batches pushed (and window changes made) since the
+//! last one, and
 //! [`CheckpointedMiner::recover`] rebuilds the exact pre-crash session
 //! from the newest valid checkpoint + the journaled tail — with **zero**
-//! support-engine calls during the restore (the engine is rebuilt over
-//! the restored rows but never queried; journal batches replay through
-//! the normal [`StreamingMiner::push_batch`] delta path and pay only
-//! their usual delta cost, which is itself engine-call-free).
+//! support-engine calls: restore builds no engine (it installs the
+//! persisted lattice and derives the bases from it), and journal records
+//! replay through the normal [`StreamingMiner::push_batch`] delta path,
+//! which holds no engine either.
 //!
 //! # On-disk format
 //!
-//! A checkpoint directory holds at most two *generations* (the current
-//! one and its predecessor, kept as the fallback):
+//! A checkpoint directory holds two *generations* (the current one and
+//! its predecessor, kept as the fallback):
 //!
 //! ```text
 //! checkpoint-000007.ckpt   # full session snapshot, generation 7
-//! journal-000007.log       # batches pushed since checkpoint 7
+//! journal-000007.log       # records journaled since checkpoint 7
 //! checkpoint-000006.ckpt   # previous generation (fallback)
 //! journal-000006.log       # its tail — folded into checkpoint 7,
 //!                          # kept so a corrupt checkpoint 7 can be
@@ -33,10 +34,11 @@
 //! <payload: the session's serde wire form, rendered as JSON>
 //! ```
 //!
-//! The `v2` payload holds only what cannot be derived: six config fields,
-//! the rows (`db`), the `lattice` with its tombstones and generator
-//! tags, the `window` and its TTL ledger (`batch_sizes`). Restore
-//! derives the bases from the lattice the way a seeded session does.
+//! The `v2` payload holds only what cannot be derived: six config fields
+//! (the `engine` as configured), the rows (`db`), the `lattice` with its
+//! tombstones and generator tags, the `window` and its TTL ledger
+//! (`batch_sizes`). Restore derives the bases from the lattice the way
+//! a seeded session does, and builds no engine.
 //! `v1` also carried the base maps; it is a
 //! [`RecoveryError::VersionMismatch`] now.
 //!
@@ -49,18 +51,28 @@
 //! so the named file is either the complete old generation or the
 //! complete new one.
 //!
-//! **Journal file** — one framed record per pushed batch:
+//! **Journal file** — one framed record per pushed batch (`b1`) or
+//! window change (`w1`):
 //!
 //! ```text
 //! b1 <payload bytes> <16-hex FNV-1a 64> <payload: JSON rows>\n
+//! w1 <payload bytes> <16-hex FNV-1a 64> <payload: JSON window policy>\n
 //! ```
 //!
-//! Records are appended and flushed after the in-memory push succeeds;
+//! Records are appended and flushed after the in-memory change succeeds;
 //! the JSON renderer never emits a raw newline, so the `\n` terminator
-//! frames records unambiguously. On replay, the first record that is
+//! frames records unambiguously. Replay applies them in order, so a
+//! checkpoint is always its predecessor plus the predecessor's journal,
+//! whatever the records held. On replay, the first record that is
 //! torn (no terminator), fails its checksum, or mis-states its length
 //! ends the replay: everything before it is restored exactly, and the
 //! [`RecoveryReport`] names the lost suffix (file and byte offset).
+//!
+//! Recovery folds the recovered session into a fresh generation past
+//! every file present and retires only the generations older than the
+//! one it restored: when it fell back past a rejected checkpoint, the
+//! restored generation and its journals stay behind as the fallback
+//! until the next fold, so a corrupt fresh checkpoint still recovers.
 //!
 //! # Recovery invariant
 //!
@@ -75,9 +87,10 @@
 //! injection done by [`FaultFs`].
 
 use crate::miner::{MinedBases, RuleMiner};
-use crate::stream::{BasesDelta, StreamError, StreamingMiner, Window};
+use crate::stream::{BasesDelta, StreamingMiner, Window};
 use rulebases_dataset::checksum::fnv1a64;
-use rulebases_dataset::TransactionDb;
+use rulebases_dataset::{DatasetError, TransactionDb};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -88,8 +101,6 @@ use std::path::{Path, PathBuf};
 const MAGIC: &str = "rulebases-ckpt";
 /// Current checkpoint format version.
 const VERSION: u32 = 2;
-/// Journal-record magic, the first token of every record.
-const RECORD_MAGIC: &str = "b1";
 /// A header longer than this is corrupt by definition (the real header
 /// is well under 64 bytes); bounds the newline scan on garbage files.
 const MAX_HEADER: usize = 128;
@@ -194,7 +205,7 @@ impl FaultFs {
 #[derive(Debug)]
 pub enum CheckpointError {
     /// The underlying [`StreamingMiner::push_batch`] rejected the batch.
-    Stream(StreamError),
+    Stream(DatasetError),
     /// A filesystem operation failed.
     Io {
         /// The file or directory the operation targeted.
@@ -228,8 +239,8 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-impl From<StreamError> for CheckpointError {
-    fn from(e: StreamError) -> Self {
+impl From<DatasetError> for CheckpointError {
+    fn from(e: DatasetError) -> Self {
         CheckpointError::Stream(e)
     }
 }
@@ -393,8 +404,8 @@ impl fmt::Display for LostSuffix {
 
 /// What [`CheckpointedMiner::recover`] did: which checkpoint it
 /// restored, how much journal it replayed, how much support-engine work
-/// the whole recovery cost (restore is pinned at zero by the bench
-/// gate), and what — if anything — was lost.
+/// the whole recovery cost (none: no engine is built), and what — if
+/// anything — was lost.
 #[derive(Clone, Debug)]
 pub struct RecoveryReport {
     /// The checkpoint file restored.
@@ -409,11 +420,12 @@ pub struct RecoveryReport {
     pub rows_replayed: usize,
     /// Journal bytes consumed by the replay.
     pub journal_bytes_replayed: u64,
-    /// Support-engine calls during the checkpoint restore (always 0 —
-    /// the invariant the recover bench pins exactly).
+    /// Support-engine calls during the checkpoint restore: 0 by
+    /// construction, since restore builds no engine (the invariant the
+    /// recover bench pins exactly).
     pub restore_engine_calls: u64,
-    /// Support-engine calls during the journal replay (0: replayed
-    /// batches go through the engine-call-free delta path).
+    /// Support-engine calls during the journal replay: 0 by
+    /// construction, since a streaming session holds no engine.
     pub replay_engine_calls: u64,
     /// Newer checkpoints that were present but rejected, newest first
     /// (each with its typed rejection rendered).
@@ -529,7 +541,6 @@ impl CheckpointedMiner {
         let Some((seq, checkpoint, bytes_restored, mut session)) = restored else {
             return Err(RecoveryError::NoCheckpoint { dir, rejected });
         };
-        let restore_engine_calls = session.context().closure_cache_stats().engine_calls();
 
         // Replay the journaled tail: generation `seq` first, then — when
         // a newer (rejected) generation left its journal behind — each
@@ -542,7 +553,7 @@ impl CheckpointedMiner {
             batches_replayed: 0,
             rows_replayed: 0,
             journal_bytes_replayed: 0,
-            restore_engine_calls,
+            restore_engine_calls: 0,
             replay_engine_calls: 0,
             skipped: rejected,
             lost: None,
@@ -570,15 +581,11 @@ impl CheckpointedMiner {
             }
             j += 1;
         }
-        report.replay_engine_calls = session
-            .context()
-            .closure_cache_stats()
-            .engine_calls()
-            .saturating_sub(restore_engine_calls);
 
         // Fold the recovered state into a fresh generation past every
-        // file present (valid or not), retiring any torn tail: pushes
-        // after a recovery must never append beyond a lost suffix.
+        // file present (valid or not): pushes after a recovery must never
+        // append beyond a lost suffix. Generations from the restored one
+        // on stay as the fallback; the next fold retires them.
         let base = checkpoints
             .keys()
             .chain(journals.keys())
@@ -594,7 +601,7 @@ impl CheckpointedMiner {
             journal_bytes: 0,
         };
         miner
-            .checkpoint_now()
+            .fold(&FaultFs::default(), seq)
             .map_err(|e| checkpoint_to_recovery(e, &miner.dir))?;
         Ok((miner, report))
     }
@@ -606,14 +613,14 @@ impl CheckpointedMiner {
         self
     }
 
-    /// Sets the session's retention policy **and immediately folds a
-    /// fresh checkpoint** carrying it: the window must be persisted
-    /// before any batch is journaled under it, or a recovery would
-    /// replay the journal under the old policy and diverge from the
-    /// pre-crash session.
+    /// Sets the session's retention policy and journals the change as
+    /// its own record, flushed before this returns: recovery replays it
+    /// in order with the batches around it, whichever checkpoint it
+    /// restores.
     pub fn set_window(&mut self, window: Window) -> Result<(), CheckpointError> {
+        let record = encode_record("w1", &window)?;
         self.inner.set_window(window);
-        self.checkpoint_now().map(|_| ())
+        self.journal(&record)
     }
 
     /// Pushes one batch through the wrapped session, journals it (the
@@ -625,16 +632,22 @@ impl CheckpointedMiner {
             // An empty batch is a session-level no-op; nothing to journal.
             return Ok(self.inner.push_batch(rows)?);
         }
-        let record = encode_record(&rows)?;
+        let record = encode_record("b1", &rows)?;
         let delta = self.inner.push_batch(rows)?;
-        let path = journal_path(&self.dir, self.seq);
-        append_synced(&path, &record).map_err(|error| CheckpointError::Io { path, error })?;
+        self.journal(&record)?;
         self.journal_batches += 1;
-        self.journal_bytes += record.len() as u64;
         if self.policy.due(self.journal_batches, self.journal_bytes) {
             self.checkpoint_now()?;
         }
         Ok(delta)
+    }
+
+    /// Appends one framed record to the current journal and flushes it.
+    fn journal(&mut self, record: &[u8]) -> Result<(), CheckpointError> {
+        let path = journal_path(&self.dir, self.seq);
+        append_synced(&path, record).map_err(|error| CheckpointError::Io { path, error })?;
+        self.journal_bytes += record.len() as u64;
+        Ok(())
     }
 
     /// Folds the current state into a fresh checkpoint generation now,
@@ -651,6 +664,13 @@ impl CheckpointedMiner {
     /// presumed lost), so tests can corrupt a write and then recover
     /// exactly as a crashed process would.
     pub fn checkpoint_with(&mut self, faults: &FaultFs) -> Result<PathBuf, CheckpointError> {
+        self.fold(faults, self.seq)
+    }
+
+    /// Writes generation `seq + 1` and, when the write committed, opens
+    /// its empty journal and retires every generation older than
+    /// `keep_from`.
+    fn fold(&mut self, faults: &FaultFs, keep_from: u64) -> Result<PathBuf, CheckpointError> {
         let next = self.seq + 1;
         let path = write_generation(&self.dir, next, &self.inner, faults)?;
         if faults.is_clean() {
@@ -659,11 +679,10 @@ impl CheckpointedMiner {
                 path: journal,
                 error,
             })?;
-            let previous = self.seq;
             self.seq = next;
             self.journal_batches = 0;
             self.journal_bytes = 0;
-            retire_generations(&self.dir, previous);
+            retire_generations(&self.dir, keep_from);
         }
         Ok(path)
     }
@@ -831,8 +850,9 @@ fn scan_dir(dir: &Path) -> Result<(BTreeMap<u64, PathBuf>, BTreeMap<u64, PathBuf
 }
 
 /// Deletes every generation strictly older than `keep_from` — called
-/// after a successful fold with the *previous* generation, so the
-/// directory retains the current checkpoint and its fallback.
+/// after a successful fold with the *previous* generation (or, after a
+/// recovery, the restored one), so the directory retains the current
+/// checkpoint and its fallback.
 fn retire_generations(dir: &Path, keep_from: u64) {
     let Ok((checkpoints, journals)) = scan_dir(dir) else {
         return;
@@ -930,12 +950,21 @@ fn load_checkpoint(path: &Path) -> Result<(StreamingMiner, u64), RecoveryError> 
     Ok((session, len))
 }
 
-/// Renders one framed journal record for a batch's rows.
-fn encode_record(rows: &Vec<Vec<u32>>) -> Result<Vec<u8>, CheckpointError> {
+/// One decoded journal record.
+enum Record {
+    /// A pushed batch's rows (tag `b1`).
+    Batch(Vec<Vec<u32>>),
+    /// A retention-policy change (tag `w1`).
+    Window(Window),
+}
+
+/// Renders one framed journal record: its `magic` tag, then `payload`
+/// as JSON.
+fn encode_record(magic: &str, payload: &impl Serialize) -> Result<Vec<u8>, CheckpointError> {
     let payload =
-        serde_json::to_string(rows).map_err(|e| CheckpointError::Encode(e.to_string()))?;
+        serde_json::to_string(payload).map_err(|e| CheckpointError::Encode(e.to_string()))?;
     let digest = fnv1a64(payload.as_bytes());
-    let mut bytes = format!("{RECORD_MAGIC} {} {digest:016x} ", payload.len()).into_bytes();
+    let mut bytes = format!("{magic} {} {digest:016x} ", payload.len()).into_bytes();
     bytes.extend_from_slice(payload.as_bytes());
     bytes.push(b'\n');
     Ok(bytes)
@@ -965,24 +994,25 @@ fn replay_journal(
             report.lost = Some(lose("torn record (no terminator)".to_string()));
             return Ok(());
         };
-        let line = &bytes[offset..offset + end];
-        let rows = match decode_record(line) {
-            Ok(rows) => rows,
+        match decode_record(&bytes[offset..offset + end]) {
+            Ok(Record::Batch(rows)) => {
+                let n_rows = rows.len();
+                session
+                    .push_batch(rows)
+                    .map_err(|e| RecoveryError::Replay {
+                        path: path.to_path_buf(),
+                        record,
+                        detail: e.to_string(),
+                    })?;
+                report.batches_replayed += 1;
+                report.rows_replayed += n_rows;
+            }
+            Ok(Record::Window(window)) => session.set_window(window),
             Err(detail) => {
                 report.lost = Some(lose(format!("record {record}: {detail}")));
                 return Ok(());
             }
-        };
-        let n_rows = rows.len();
-        session
-            .push_batch(rows)
-            .map_err(|e| RecoveryError::Replay {
-                path: path.to_path_buf(),
-                record,
-                detail: e.to_string(),
-            })?;
-        report.batches_replayed += 1;
-        report.rows_replayed += n_rows;
+        }
         report.journal_bytes_replayed += (end + 1) as u64;
         offset += end + 1;
         record += 1;
@@ -991,13 +1021,16 @@ fn replay_journal(
 }
 
 /// Parses one journal record line (without its terminator) back into
-/// its batch rows, validating magic, length, and checksum.
-fn decode_record(line: &[u8]) -> Result<Vec<Vec<u32>>, String> {
+/// its batch rows or window policy, validating magic, length, and
+/// checksum.
+fn decode_record(line: &[u8]) -> Result<Record, String> {
     let text = std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}"))?;
     let mut parts = text.splitn(4, ' ');
-    if parts.next() != Some(RECORD_MAGIC) {
-        return Err("bad record magic".to_string());
-    }
+    let window = match parts.next() {
+        Some("b1") => false,
+        Some("w1") => true,
+        _ => return Err("bad record magic".to_string()),
+    };
     let len: usize = parts
         .next()
         .and_then(|t| t.parse().ok())
@@ -1019,7 +1052,12 @@ fn decode_record(line: &[u8]) -> Result<Vec<Vec<u32>>, String> {
             "record checksum mismatch: declared {digest:016x}, present {found:016x}"
         ));
     }
-    serde_json::from_str(payload).map_err(|e| e.to_string())
+    let record = if window {
+        serde_json::from_str(payload).map(Record::Window)
+    } else {
+        serde_json::from_str(payload).map(Record::Batch)
+    };
+    record.map_err(|e| e.to_string())
 }
 
 /// Writes `bytes` to `path` and flushes them to stable storage.

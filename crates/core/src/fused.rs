@@ -196,18 +196,19 @@ impl ClosedSink for LatticeSink {
 ///
 /// Exponential in the widest closed set, exactly like materializing `F`
 /// by mining is; the (practically unreachable) fallback keeps itemsets
-/// wider than the subset-enumeration limit correct rather than fast.
+/// wider than the subset-enumeration limit correct rather than fast. It
+/// mines the context `ctx` returns, which is asked for only then.
 pub(crate) fn derive_frequent(
     closed: &ClosedItemsets,
     miner: &RuleMiner,
-    ctx: &MiningContext,
+    ctx: impl FnOnce() -> MiningContext,
 ) -> FrequentItemsets {
     if closed.iter().all(|(s, _)| s.len() < 64) {
         closed.expand_to_frequent()
     } else {
         Apriori::new()
             .parallelism(miner.parallelism_config())
-            .mine(ctx, miner.min_support_config())
+            .mine(&ctx(), miner.min_support_config())
     }
 }
 
@@ -237,7 +238,7 @@ pub(crate) fn assemble_bases(
         n,
     );
 
-    let frequent = derive_frequent(&closed, miner, ctx);
+    let frequent = derive_frequent(&closed, miner, || ctx.clone());
     let dg = DuquenneGuiguesBasis::build(&frequent, &closed, ctx.n_items());
     let lux_full = LuxenburgerBasis::full_from_lattice(
         &lattice,

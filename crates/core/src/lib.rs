@@ -89,7 +89,7 @@ pub use serve::{
     BasketMatch, MatchCost, Recommendation, RuleReader, RuleServer, ServeStats, ServedBasis,
     ServingSnapshot,
 };
-pub use stream::{BasesDelta, RuleSetDelta, StreamError, StreamingMiner, Window};
+pub use stream::{BasesDelta, RuleSetDelta, StreamingMiner, Window};
 
 // Re-export the substrate crates and the most common types.
 pub use rulebases_dataset::{self as dataset, MinSupport, MiningContext, TransactionDb};

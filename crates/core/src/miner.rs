@@ -104,15 +104,19 @@ impl RuleMiner {
     }
 
     /// Opens a streaming session seeded with `db` (possibly empty): the
-    /// returned [`StreamingMiner`] keeps engine, closed-set lattice, and
-    /// all three bases live while batches arrive through
+    /// returned [`StreamingMiner`] keeps the closed-set lattice and all
+    /// three bases live while batches arrive through
     /// [`StreamingMiner::push_batch`] — the configured thresholds rescale
     /// to the growing row count, and the batch pipelines are the
-    /// degenerate one-batch case. The `pipeline` setting is ignored here:
-    /// a stream always maintains the fused shape.
+    /// degenerate one-batch case. The session builds no support engine:
+    /// the `engine` setting only shapes the contexts
+    /// [`StreamingMiner::context`] builds on demand. The `pipeline`
+    /// setting is ignored here: a stream always maintains the fused
+    /// shape.
     ///
     /// [`StreamingMiner`]: crate::stream::StreamingMiner
     /// [`StreamingMiner::push_batch`]: crate::stream::StreamingMiner::push_batch
+    /// [`StreamingMiner::context`]: crate::stream::StreamingMiner::context
     pub fn streaming(&self, db: TransactionDb) -> crate::stream::StreamingMiner {
         crate::stream::StreamingMiner::new(self.clone(), db)
     }

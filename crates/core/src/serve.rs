@@ -58,8 +58,8 @@
 
 use crate::miner::{MinedBases, RuleMiner};
 use crate::rule::Rule;
-use crate::stream::{BasesDelta, StreamError, StreamingMiner, Window};
-use rulebases_dataset::{kernels, Item, Support, TransactionDb};
+use crate::stream::{BasesDelta, StreamingMiner, Window};
+use rulebases_dataset::{kernels, DatasetError, Item, Support, TransactionDb};
 use serde::Serialize;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering as MemOrd};
@@ -313,15 +313,28 @@ impl ServingSnapshot {
     /// stops as soon as `k` rules have fired instead of draining the
     /// postings lists.
     pub fn top_k(&self, basket: &[u32], k: usize) -> Vec<&Rule> {
+        let (ids, _) = self.top_k_counted(basket, k);
+        ids.into_iter().map(|id| self.rule(id)).collect()
+    }
+
+    /// [`ServingSnapshot::top_k`] as score-ordered rule ids, with the
+    /// query's cost counters. With `k == 0` nothing is scanned, but the
+    /// basket's distinct items still count as index probes.
+    pub fn top_k_counted(&self, basket: &[u32], k: usize) -> (Vec<u32>, MatchCost) {
         let basket = Self::normalize(basket);
         let mut fired = Vec::with_capacity(k.min(16));
-        if k > 0 {
-            self.scan(&basket, |id| {
-                fired.push(id);
-                fired.len() < k
-            });
+        if k == 0 {
+            let cost = MatchCost {
+                index_probes: basket.len() as u64,
+                ..MatchCost::default()
+            };
+            return (fired, cost);
         }
-        fired.into_iter().map(|id| self.rule(id)).collect()
+        let cost = self.scan(&basket, |id| {
+            fired.push(id);
+            fired.len() < k
+        });
+        (fired, cost)
     }
 
     /// Up to `k` consequent items not already in `basket`, each tagged
@@ -644,19 +657,7 @@ impl RuleReader {
     /// merge), against the current snapshot.
     pub fn top_k(&mut self, basket: &[u32], k: usize) -> BasketMatch {
         self.refresh();
-        let basket_sorted = ServingSnapshot::normalize(basket);
-        let mut fired = Vec::with_capacity(k.min(16));
-        let cost = if k == 0 {
-            MatchCost {
-                index_probes: basket_sorted.len() as u64,
-                ..MatchCost::default()
-            }
-        } else {
-            self.cached.scan(&basket_sorted, |id| {
-                fired.push(id);
-                fired.len() < k
-            })
-        };
+        let (fired, cost) = self.cached.top_k_counted(basket, k);
         self.shared.record(cost);
         BasketMatch {
             snapshot: Arc::clone(&self.cached),
@@ -722,7 +723,7 @@ impl RuleServer {
     /// retains), rebuilds the snapshot from the patched bases, and
     /// publishes it. Readers keep answering on the old epoch until the
     /// swap lands; the swap itself never waits for them.
-    pub fn ingest(&mut self, rows: Vec<Vec<u32>>) -> Result<BasesDelta, StreamError> {
+    pub fn ingest(&mut self, rows: Vec<Vec<u32>>) -> Result<BasesDelta, DatasetError> {
         let delta = self.miner.push_batch(rows)?;
         if delta.appended > 0 || delta.expired > 0 {
             self.republish();
@@ -871,6 +872,36 @@ mod tests {
                 .collect();
             assert_eq!(got, all[..k.min(all.len())].to_vec(), "k={k}");
         }
+    }
+
+    #[test]
+    fn reader_top_k_runs_the_snapshot_path_and_tallies_it() {
+        let server = server();
+        let mut reader = server.reader();
+        let basket = &[4, 0, 2, 0][..];
+        for k in [0, 1, 3] {
+            let before = reader.stats();
+            let got = reader.top_k(basket, k);
+            let (ids, cost) = reader.snapshot().top_k_counted(basket, k);
+            assert_eq!(got.ids(), &ids[..], "k={k}");
+            let after = reader.stats();
+            assert_eq!(after.queries, before.queries + 1, "k={k}");
+            assert_eq!(after.index_probes, before.index_probes + cost.index_probes);
+            assert_eq!(
+                after.rules_scanned,
+                before.rules_scanned + cost.rules_scanned
+            );
+            assert_eq!(after.rules_fired, before.rules_fired + cost.rules_fired);
+        }
+        // k = 0 scans nothing; the basket's 3 distinct items still count
+        // as index probes.
+        let (ids, cost) = reader.snapshot().top_k_counted(basket, 0);
+        assert!(ids.is_empty());
+        let probes_only = MatchCost {
+            index_probes: 3,
+            ..MatchCost::default()
+        };
+        assert_eq!(cost, probes_only);
     }
 
     #[test]

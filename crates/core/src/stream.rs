@@ -2,27 +2,24 @@
 //!
 //! The batch pipelines answer one question about one frozen database.
 //! [`StreamingMiner`] keeps the answer *live* while the database grows:
-//! it owns an appendable [`TransactionDb`], a delta-aware engine (see
-//! [`rulebases_dataset::engine::delta`]), and the full incremental closed
-//! lattice, and [`StreamingMiner::push_batch`] threads one append through
-//! all the layers at **delta cost**:
+//! it owns an appendable [`TransactionDb`] and the full incremental closed
+//! lattice — the session's only index: it builds and maintains no
+//! support engine — and [`StreamingMiner::push_batch`] threads one append
+//! through all the layers at **delta cost**:
 //!
 //! 1. the rows land in one fresh storage segment
-//!    ([`TransactionDb::append_rows`]) under a new epoch — the snapshot
-//!    the engines pin keeps sharing every pre-append segment, so the
-//!    append copies O(batch) bytes, never O(database) (the engines'
-//!    [`CacheStats::bytes_copied`](rulebases_dataset::CacheStats)
-//!    counter pins this);
-//! 2. the engine absorbs the [`TxDelta`] incrementally — covers extend,
-//!    the closure cache drops only the classes the batch can change
-//!    ([`MiningContext::apply_delta`]);
-//! 3. each appended transaction is inserted into the lattice GALICIA-style
+//!    ([`TransactionDb::append_rows`]) under a new epoch — every
+//!    pre-append segment stays shared, so the append copies O(batch)
+//!    bytes, never O(database). This is the push's one fallible step
+//!    (an id outside a dictionary-pinned universe), and it runs before
+//!    any state moves;
+//! 2. each appended transaction is inserted into the lattice GALICIA-style
 //!    ([`IncrementalLattice::insert_object_delta`]): supports bump, split
 //!    closure classes appear, covers rewire, minimal generators retag —
 //!    all by set algebra with **zero** support-engine queries — and the
 //!    insertion reports exactly which classes it touched as a
 //!    [`LatticeDelta`];
-//! 4. the maintained bases are **patched from that touched-class set**:
+//! 3. the maintained bases are **patched from that touched-class set**:
 //!    only a rule whose antecedent/consequent closure classes were
 //!    touched (or crossed the rescaled support threshold) can move, so
 //!    the Duquenne-Guigues and both Luxenburger bases update — and the
@@ -45,22 +42,20 @@
 //! ([`StreamingMiner::window`]): `Sliding(n)` keeps the newest `n`
 //! rows, `Ttl(k)` keeps the rows of the newest `k` batches. After the
 //! append phase of a push, the out-of-window prefix *expires* through
-//! the same delta machinery in reverse: the engines absorb a
-//! [`TxDelta::Expire`] in place (covers drop their head bits, tid-lists
-//! drain their sorted prefixes — see
-//! [`rulebases_dataset::engine::delta`]), each expired object is removed
-//! from the lattice GALICIA-style in reverse
+//! the same delta machinery in reverse: each expired object is removed
+//! from the lattice GALICIA-style
 //! ([`IncrementalLattice::remove_object_delta`]: supports drop, classes
 //! whose last witness left merge into their closure, covers rewire by
-//! reverse interposition), and one [`BasesDelta`] covering both the
-//! appends and the expiries comes back from a single patch pass. The
-//! windowed state after every push equals a fresh mine of exactly the
-//! window's rows — property-tested in `tests/windowing.rs` over every
-//! backend — and no layer ever re-mines or queries the support engine
-//! during maintenance.
+//! reverse interposition), the storage view drops its head rows
+//! ([`TransactionDb::expire_rows`]), and one [`BasesDelta`] covering
+//! both the appends and the expiries comes back from a single patch
+//! pass. The windowed state after every push equals a fresh mine of
+//! exactly the window's rows — property-tested in `tests/windowing.rs`
+//! over every backend — and no layer ever re-mines or queries a support
+//! engine during maintenance.
 //!
-//! [`TxDelta::Expire`]: rulebases_dataset::TxDelta::Expire
 //! [`IncrementalLattice::remove_object_delta`]: rulebases_lattice::IncrementalLattice::remove_object_delta
+//! [`TransactionDb::expire_rows`]: rulebases_dataset::TransactionDb::expire_rows
 //!
 //! # Example
 //!
@@ -85,7 +80,6 @@
 //! ```
 //!
 //! [`TransactionDb::append_rows`]: rulebases_dataset::TransactionDb::append_rows
-//! [`MiningContext::apply_delta`]: rulebases_dataset::MiningContext::apply_delta
 //! [`IncrementalLattice::insert_object_delta`]: rulebases_lattice::IncrementalLattice::insert_object_delta
 //! [`LatticeDelta`]: rulebases_lattice::LatticeDelta
 
@@ -95,8 +89,7 @@ use crate::fused::{derive_frequent, min_count_for, PipelineKind};
 use crate::miner::{MinedBases, RuleMiner};
 use crate::rule::Rule;
 use rulebases_dataset::{
-    DatasetError, DeltaError, EngineKind, Itemset, MinSupport, MiningContext, Support,
-    TransactionDb, TxDelta,
+    DatasetError, EngineKind, Itemset, MinSupport, MiningContext, Support, TransactionDb,
 };
 use rulebases_lattice::{
     pseudo_closed_of_family, GenStats, IncrementalLattice, LatticeDelta, PseudoClosed,
@@ -104,14 +97,13 @@ use rulebases_lattice::{
 use rulebases_mining::{ClosedAlgorithm, ClosedItemsets};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::fmt;
 use std::sync::Arc;
 
 /// The retention policy of a streaming session: which suffix of the
-/// pushed rows the maintained context keeps. Configured with
+/// pushed rows the session keeps. Configured with
 /// [`StreamingMiner::window`]; enforced at the end of every
 /// [`StreamingMiner::push_batch`], where the out-of-window prefix
-/// expires through the engine/lattice delta machinery (see the
+/// expires from the lattice and the storage view (see the
 /// [module docs](self)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Window {
@@ -128,48 +120,6 @@ pub enum Window {
     /// The rows held when the policy is set (the seed, say) count as
     /// one batch; empty pushes do not age the window.
     Ttl(usize),
-}
-
-/// Why a [`StreamingMiner::push_batch`] failed. The miner is unchanged on
-/// error.
-#[derive(Debug)]
-pub enum StreamError {
-    /// The append itself was rejected (e.g. an item id outside a
-    /// dictionary-pinned universe).
-    Dataset(DatasetError),
-    /// The engine could not absorb the delta (e.g. the context has live
-    /// clones sharing the engine).
-    Delta(DeltaError),
-}
-
-impl fmt::Display for StreamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamError::Dataset(e) => write!(f, "append rejected: {e}"),
-            StreamError::Delta(e) => write!(f, "delta rejected: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StreamError::Dataset(e) => Some(e),
-            StreamError::Delta(e) => Some(e),
-        }
-    }
-}
-
-impl From<DatasetError> for StreamError {
-    fn from(e: DatasetError) -> Self {
-        StreamError::Dataset(e)
-    }
-}
-
-impl From<DeltaError> for StreamError {
-    fn from(e: DeltaError) -> Self {
-        StreamError::Delta(e)
-    }
 }
 
 /// How one rule family moved across a batch. Rules are identified by
@@ -461,10 +411,10 @@ impl MaintainedBases {
     /// count, with zero engine calls — for a seeded session and a
     /// restored one alike (per-batch updates go through
     /// [`StreamingMiner::patch_bases`] instead).
-    fn rebuild(config: &RuleMiner, ctx: &MiningContext, lattice: &IncrementalLattice) -> Self {
+    fn rebuild(config: &RuleMiner, n_objects: usize, lattice: &IncrementalLattice) -> Self {
         let minconf = config.min_confidence_config();
         let include_empty = config.include_empty_antecedent_config();
-        let min_count = min_count_for(config.min_support_config(), ctx.n_objects());
+        let min_count = min_count_for(config.min_support_config(), n_objects);
         let n = lattice.n_nodes();
         let in_iceberg: Vec<bool> = (0..n)
             .map(|i| lattice.is_live(i) && lattice.node(i).1 >= min_count)
@@ -527,7 +477,6 @@ impl MaintainedBases {
 pub struct StreamingMiner {
     config: RuleMiner,
     db: Arc<TransactionDb>,
-    ctx: MiningContext,
     lattice: IncrementalLattice,
     state: MaintainedBases,
     /// The retention policy — [`Window::Unbounded`] unless configured
@@ -551,17 +500,15 @@ impl StreamingMiner {
         Self::assemble(config, Arc::new(db), lattice)
     }
 
-    /// The steps [`StreamingMiner::new`] and [`StreamingMiner::from_wire`]
-    /// share once they hold a lattice: build the engine over `db` and
-    /// derive the maintained bases with [`MaintainedBases::rebuild`]. The
-    /// session starts unbounded, with an empty TTL ledger.
+    /// The step [`StreamingMiner::new`] and [`StreamingMiner::from_wire`]
+    /// share once they hold a lattice: derive the maintained bases with
+    /// [`MaintainedBases::rebuild`]. No engine is built. The session
+    /// starts unbounded, with an empty TTL ledger.
     fn assemble(config: RuleMiner, db: Arc<TransactionDb>, lattice: IncrementalLattice) -> Self {
-        let ctx = MiningContext::with_engine_arc(Arc::clone(&db), config.engine_config());
-        let state = MaintainedBases::rebuild(&config, &ctx, &lattice);
+        let state = MaintainedBases::rebuild(&config, db.n_transactions(), &lattice);
         StreamingMiner {
             config,
             db,
-            ctx,
             lattice,
             state,
             window: Window::Unbounded,
@@ -611,21 +558,23 @@ impl StreamingMiner {
 
     /// Appends one batch of transactions, expires whatever the
     /// session's [`Window`] no longer retains, and patches everything
-    /// the session maintains — engine, lattice, and all three bases —
-    /// without re-mining and at delta cost: the append allocates one
-    /// storage segment, the engines absorb the append and the expiry in
-    /// place, and the bases are patched from the lattice's accumulated
+    /// the session maintains — lattice and all three bases — without
+    /// re-mining and at delta cost: the append allocates one storage
+    /// segment, the lattice absorbs each appended and expired row by set
+    /// algebra, and the bases are patched from the lattice's accumulated
     /// touched-class report (only rules whose antecedent/consequent
     /// closure class was touched, or whose class crossed the rescaled
     /// threshold, are reconsidered). Thresholds rescale to the new row
     /// count — under a window that count can shrink, so a fractional
     /// minimum support falls in absolute terms too. Returns one
-    /// [`BasesDelta`] covering both the appends and the expiries; on
+    /// [`BasesDelta`] covering both the appends and the expiries.
+    ///
+    /// The append is the only step that can fail, and it runs first: on
     /// error nothing changed.
     ///
     /// An empty batch is a no-op: it returns an empty delta without
     /// advancing the epoch, aging the window, or touching any layer.
-    pub fn push_batch(&mut self, rows: Vec<Vec<u32>>) -> Result<BasesDelta, StreamError> {
+    pub fn push_batch(&mut self, rows: Vec<Vec<u32>>) -> Result<BasesDelta, DatasetError> {
         if rows.is_empty() {
             return Ok(BasesDelta::empty(
                 self.db.epoch(),
@@ -634,54 +583,37 @@ impl StreamingMiner {
             ));
         }
         // Cloning the view is O(#segments): the segments themselves are
-        // Arc-shared with the engines' pinned snapshot, and append_rows
-        // only allocates the batch's own segment.
-        let mut grown = TransactionDb::clone(&self.db);
-        let info = grown.append_rows(rows)?;
-        let grown = Arc::new(grown);
-        let appended = grown.n_transactions() - info.start;
-        let delta = TxDelta::new(Arc::clone(&grown), info);
-        self.ctx.apply_delta(&delta)?;
+        // Arc-shared, and append_rows only allocates the batch's own.
+        let mut db = TransactionDb::clone(&self.db);
+        let info = db.append_rows(rows)?;
+        let appended = db.n_transactions() - info.start;
+        let row = |db: &TransactionDb, t: usize| Itemset::from_sorted(db.transaction(t).to_vec());
         let mut touched = LatticeDelta::default();
-        for t in info.start..grown.n_transactions() {
-            touched.absorb(
-                self.lattice
-                    .insert_object_delta(&Itemset::from_sorted(grown.transaction(t).to_vec())),
-            );
+        for t in info.start..db.n_transactions() {
+            touched.absorb(self.lattice.insert_object_delta(&row(&db, t)));
         }
-        self.db = grown;
-        let expired = self.window_overflow(appended);
+        let expired = self.window_overflow(db.n_transactions(), appended);
         if expired > 0 {
-            // Capture the expiring rows before the view shrinks — the
-            // lattice removals need the original itemsets.
-            let expiring: Vec<Itemset> = (0..expired)
-                .map(|t| Itemset::from_sorted(self.db.transaction(t).to_vec()))
-                .collect();
-            let prior = Arc::clone(&self.db);
-            let mut shrunk = TransactionDb::clone(&self.db);
-            let einfo = shrunk.expire_rows(expired);
-            let shrunk = Arc::new(shrunk);
-            self.ctx
-                .apply_delta(&TxDelta::expire(prior, Arc::clone(&shrunk), einfo))?;
-            for row in &expiring {
-                touched.absorb(self.lattice.remove_object_delta(row));
+            for t in 0..expired {
+                touched.absorb(self.lattice.remove_object_delta(&row(&db, t)));
             }
-            self.db = shrunk;
+            db.expire_rows(expired);
         }
-        self.maybe_compact();
+        Self::maybe_compact(&mut db);
+        self.db = Arc::new(db);
         let report = self.patch_bases(&touched, self.db.epoch(), appended, expired);
         self.cached = None;
         Ok(report)
     }
 
     /// How many prefix rows fall out of the window once a push has
-    /// appended `appended` rows. [`Window::Ttl`] ages whole batches
-    /// through the [`Self::batch_sizes`] ledger; [`Window::Sliding`]
-    /// counts rows directly.
-    fn window_overflow(&mut self, appended: usize) -> usize {
+    /// appended `appended` rows, leaving `rows` held. [`Window::Ttl`]
+    /// ages whole batches through the [`Self::batch_sizes`] ledger;
+    /// [`Window::Sliding`] counts rows directly.
+    fn window_overflow(&mut self, rows: usize, appended: usize) -> usize {
         match self.window {
             Window::Unbounded => 0,
-            Window::Sliding(n) => self.db.n_transactions().saturating_sub(n),
+            Window::Sliding(n) => rows.saturating_sub(n),
             Window::Ttl(batches) => {
                 self.batch_sizes.push_back(appended);
                 let mut expired = 0;
@@ -700,22 +632,13 @@ impl StreamingMiner {
     /// the segment count reaches `2·⌈log₂ rows⌉` keeps the segment
     /// count logarithmic in the row count while the total bytes copied
     /// across a stream's lifetime stay `O(rows · log rows)`.
-    ///
-    /// [`TransactionDb::compact`] preserves contents, dictionary, *and
-    /// epoch*, so the swap is invisible to the delta-maintained engine:
-    /// the next [`TxDelta`] is still epoch-consecutive, and the engine's
-    /// own pinned snapshot keeps the old segments alive until it next
-    /// absorbs a delta (transiently doubling resident bytes — the price
-    /// of never blocking on readers).
-    fn maybe_compact(&mut self) {
-        let rows = self.db.n_transactions();
-        if rows < 2 || self.db.n_segments() < Self::segment_budget(rows) {
-            return;
+    /// [`TransactionDb::compact`] preserves contents, dictionary and
+    /// epoch, so the fold is invisible to the session.
+    fn maybe_compact(db: &mut TransactionDb) {
+        let rows = db.n_transactions();
+        if rows >= 2 && db.n_segments() >= Self::segment_budget(rows) {
+            db.compact();
         }
-        let mut flat = TransactionDb::clone(&self.db);
-        flat.compact();
-        debug_assert_eq!(flat.epoch(), self.db.epoch());
-        self.db = Arc::new(flat);
     }
 
     /// The doubling-policy ceiling: `2·⌈log₂ rows⌉` segments (rows ≥ 2).
@@ -747,7 +670,7 @@ impl StreamingMiner {
         let include_empty = self.config.include_empty_antecedent_config();
         let n_nodes = lattice.n_nodes();
         let old_min = state.min_count;
-        let new_min = min_count_for(self.config.min_support_config(), self.ctx.n_objects());
+        let new_min = min_count_for(self.config.min_support_config(), self.db.n_transactions());
         state.in_iceberg.resize(n_nodes, false);
 
         // Net per-node support movement — +1 per bump, −1 per drop; a
@@ -893,7 +816,7 @@ impl StreamingMiner {
             epoch,
             appended,
             expired,
-            n_objects: self.ctx.n_objects(),
+            n_objects: self.db.n_transactions(),
             min_count: new_min,
             closed_added,
             closed_removed,
@@ -908,7 +831,7 @@ impl StreamingMiner {
     fn materialize(&self) -> MinedBases {
         let min_count = self.state.min_count;
         let (lattice, minimal_generators) = self.lattice.snapshot(min_count);
-        let n = self.ctx.n_objects();
+        let n = self.db.n_transactions();
         let closed = ClosedItemsets::from_pairs(
             (0..lattice.n_nodes())
                 .map(|i| {
@@ -919,9 +842,8 @@ impl StreamingMiner {
             min_count,
             n,
         );
-        let frequent = derive_frequent(&closed, &self.config, &self.ctx);
-        let dg =
-            DuquenneGuiguesBasis::from_pseudo_closed(self.state.dg.clone(), self.ctx.n_items());
+        let frequent = derive_frequent(&closed, &self.config, || self.context());
+        let dg = DuquenneGuiguesBasis::from_pseudo_closed(self.state.dg.clone(), self.db.n_items());
         let lux_full = LuxenburgerBasis::from_sorted_rules(
             self.state.lux_full.values().cloned().collect(),
             self.config.min_confidence_config(),
@@ -962,13 +884,15 @@ impl StreamingMiner {
         self.cached.as_ref().expect("just materialized")
     }
 
-    /// The live mining context (delta-maintained engine included).
-    ///
-    /// Cloning the returned context shares its engine; a clone held
-    /// across the next [`StreamingMiner::push_batch`] makes that push
-    /// fail with [`DeltaError::SharedEngine`] — query and drop.
-    pub fn context(&self) -> &MiningContext {
-        &self.ctx
+    /// A mining context over the session's current rows, built on
+    /// demand with the configured engine. The session itself holds no
+    /// engine — every push is answered from the lattice — so each call
+    /// builds a fresh one (an [`EngineKind::Auto`] session resolves it
+    /// over the rows held now). The context shares the session's
+    /// storage segments rather than copying them, and holding it never
+    /// blocks a push.
+    pub fn context(&self) -> MiningContext {
+        MiningContext::with_engine_arc(Arc::clone(&self.db), self.config.engine_config())
     }
 
     /// The grown database (a cheap view over the session's shared
@@ -1005,16 +929,16 @@ impl StreamingMiner {
     /// [`crate::checkpoint`] frames, checksums, and persists. It holds
     /// only what restore cannot derive: the bases are rebuilt from the
     /// lattice (see [`StreamingMiner::from_wire`]). The engine is
-    /// recorded as the session's *resolved* backend, so a restore
-    /// rebuilds the exact same engine even when the session was
-    /// configured with [`rulebases_dataset::EngineKind::Auto`].
+    /// recorded as configured ([`EngineKind::Auto`] stays `auto`): the
+    /// session builds none, and a restored [`StreamingMiner::context`]
+    /// resolves it over the restored rows.
     pub(crate) fn to_wire(&self) -> SessionWire {
         SessionWire {
             min_support: self.config.min_support_config(),
             min_confidence: self.config.min_confidence_config(),
             algorithm: self.config.algorithm_config(),
             include_empty_antecedent: self.config.include_empty_antecedent_config(),
-            engine: self.ctx.resolved_kind().to_string(),
+            engine: self.config.engine_config().to_string(),
             parallelism: self.config.parallelism_config(),
             db: TransactionDb::clone(&self.db),
             lattice: self.lattice.clone(),
@@ -1027,9 +951,8 @@ impl StreamingMiner {
     /// [`StreamingMiner::to_wire`]. The lattice is installed as
     /// persisted (tombstones, generator tags, and slot ids intact — a
     /// seed replay would renumber the slots and recycle freed ids), then
-    /// restore takes the seed path: the engine is *constructed* over the
-    /// restored rows and [`MaintainedBases::rebuild`] derives the bases
-    /// from the lattice, so the engine is never *queried* — the whole
+    /// restore takes the seed path: [`MaintainedBases::rebuild`] derives
+    /// the bases from the lattice. No engine is built, so the whole
     /// restore performs zero support-engine calls.
     ///
     /// Fails with a reason, rather than panicking later, on a
@@ -1073,7 +996,7 @@ impl StreamingMiner {
 }
 
 /// The on-wire shape of a [`StreamingMiner`] session: configuration
-/// (thresholds, resolved engine, thread policy), the grown database,
+/// (thresholds, configured engine, thread policy), the grown database,
 /// the incremental lattice with its tombstones and generator tags, and
 /// the window policy with its TTL aging ledger — no base maps, which
 /// restore derives. [`crate::checkpoint`] wraps this in a versioned,
@@ -1085,7 +1008,9 @@ pub(crate) struct SessionWire {
     pub(crate) min_confidence: f64,
     pub(crate) algorithm: ClosedAlgorithm,
     pub(crate) include_empty_antecedent: bool,
-    /// The resolved [`EngineKind`], in its `Display`/`FromStr` form.
+    /// The configured [`EngineKind`], in its `Display`/`FromStr` form.
+    /// Older v2 files hold a resolved kind (`dense`, `tid-list`), which
+    /// parses too.
     pub(crate) engine: String,
     pub(crate) parallelism: rulebases_dataset::Parallelism,
     pub(crate) db: TransactionDb,
@@ -1287,7 +1212,6 @@ mod tests {
         assert_eq!(delta.n_objects, 5);
         // No epoch burned, no layer touched.
         assert_eq!(stream.epoch(), 0);
-        assert_eq!(stream.context().epoch(), 0);
         // A real batch still flows normally afterwards.
         stream.push_batch(vec![vec![1, 3]]).unwrap();
         assert_eq!(stream.epoch(), 1);
@@ -1295,33 +1219,40 @@ mod tests {
 
     #[test]
     fn dictionary_pinned_universe_rejects_batch_atomically() {
-        let mut stream = RuleMiner::new(MinSupport::Count(2)).streaming(paper_example());
+        let config = RuleMiner::new(MinSupport::Count(2));
+        let mut stream = config.streaming(paper_example());
         let before = stream.n_objects();
+        let classes = stream.n_closure_classes();
         let err = stream
             .push_batch(vec![vec![1], vec![99]])
             .expect_err("id 99 outside the 6-label dictionary");
-        assert!(matches!(
-            err,
-            StreamError::Dataset(DatasetError::UniversePinned { item: 99, .. })
-        ));
-        // Nothing moved: rows, epoch, engine, bases.
+        assert!(matches!(err, DatasetError::UniversePinned { item: 99, .. }));
+        // Nothing moved: rows, epoch, lattice, bases — the append is
+        // rejected before the valid first row reaches the lattice.
         assert_eq!(stream.n_objects(), before);
         assert_eq!(stream.epoch(), 0);
-        assert_eq!(stream.context().epoch(), 0);
+        assert_eq!(stream.n_closure_classes(), classes);
+        let mut untouched = config.streaming(paper_example());
+        assert_same_bases(stream.bases(), untouched.bases(), "rejected batch");
         // The session still works afterwards.
         stream.push_batch(vec![vec![1, 3]]).unwrap();
         assert_eq!(stream.n_objects(), 6);
     }
 
     #[test]
-    fn cloned_context_blocks_the_next_push() {
-        let mut stream = RuleMiner::new(MinSupport::Count(2)).streaming(paper_example());
-        let clone = stream.context().clone();
-        let err = stream.push_batch(vec![vec![1]]).expect_err("engine shared");
-        assert!(matches!(err, StreamError::Delta(DeltaError::SharedEngine)));
-        drop(clone);
-        stream.push_batch(vec![vec![1]]).unwrap();
-        assert_eq!(stream.n_objects(), 6);
+    fn context_is_built_over_the_current_rows_with_the_configured_engine() {
+        let mut stream = RuleMiner::new(MinSupport::Count(2))
+            .engine(EngineKind::TidList)
+            .streaming(paper_example());
+        // A held context never blocks a push; it keeps the rows it was
+        // built over.
+        let held = stream.context();
+        stream.push_batch(vec![vec![1, 3]]).unwrap();
+        assert_eq!(held.n_objects(), 5);
+        let ctx = stream.context();
+        assert_eq!((ctx.n_objects(), ctx.epoch()), (6, 1));
+        assert_eq!(ctx.resolved_kind(), EngineKind::TidList);
+        assert_eq!(ctx.support(&Itemset::from_ids([1, 3])), 4);
     }
 
     #[test]
@@ -1351,25 +1282,5 @@ mod tests {
             .removed
             .iter()
             .any(|r| r.antecedent == Itemset::from_ids([1])));
-    }
-
-    #[test]
-    fn push_batch_shares_storage_with_the_engine_snapshot() {
-        // The zero-copy invariant at the session level: a push allocates
-        // one new segment, leaves every prefix segment shared, and the
-        // engine copies O(batch) bytes.
-        let mut stream = RuleMiner::new(MinSupport::Count(2)).streaming(paper_example());
-        let before_addrs = stream.db().segment_addrs();
-        let before_bytes = stream.context().closure_cache_stats().bytes_copied;
-        stream.push_batch(vec![vec![1, 3]]).unwrap();
-        let after_addrs = stream.db().segment_addrs();
-        assert_eq!(after_addrs.len(), before_addrs.len() + 1);
-        assert_eq!(&after_addrs[..before_addrs.len()], &before_addrs[..]);
-        let copied = stream.context().closure_cache_stats().bytes_copied - before_bytes;
-        assert!(copied > 0, "delta application reads the appended rows");
-        assert!(
-            copied < 128,
-            "1-row append must copy O(row) bytes: {copied}"
-        );
     }
 }

@@ -145,7 +145,10 @@ impl MiningContext {
     ///
     /// Fails with [`DeltaError::SharedEngine`] when the context has live
     /// clones (clones share the engine, which must be unique to mutate in
-    /// place) — the streaming paths own their context exactly.
+    /// place). No library path drives this — a streaming session
+    /// answers from its lattice and holds no engine; the repo
+    /// benchmark's `mine-sparse` delta load and its traced shadow of a
+    /// push measure it.
     pub fn apply_delta(&mut self, delta: &TxDelta) -> Result<(), DeltaError> {
         Arc::get_mut(&mut self.engine)
             .ok_or(DeltaError::SharedEngine)?

@@ -1178,7 +1178,7 @@ impl Deserialize for IncrementalLattice {
                 return Err(serde::Error::custom("duplicate live intent"));
             }
         }
-        Ok(IncrementalLattice {
+        let lattice = IncrementalLattice {
             nodes: wire.nodes,
             packed,
             words,
@@ -1189,7 +1189,20 @@ impl Deserialize for IncrementalLattice {
             alive: wire.alive,
             gen_mode: wire.gen_mode,
             stats: wire.stats,
-        })
+        };
+        // Every cover edge must go up the diagram: the upper intent a
+        // strict superset of the lower one, with no greater support —
+        // one word-subset test per edge. The bases rely on both.
+        for (id, covers) in lattice.upper.iter().enumerate() {
+            for &u in covers {
+                if !lattice.strictly_below(id, u) || lattice.nodes[u].1 > lattice.nodes[id].1 {
+                    return Err(serde::Error::custom(
+                        "upper cover is not a strict superset with no greater support",
+                    ));
+                }
+            }
+        }
+        Ok(lattice)
     }
 }
 

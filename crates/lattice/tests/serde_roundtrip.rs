@@ -198,4 +198,17 @@ fn corrupt_documents_are_rejected_not_panicked() {
         let err = serde_json::from_str::<IncrementalLattice>(&unsorted).unwrap_err();
         assert!(err.to_string().contains("ascending"), "{intent}: {err}");
     }
+
+    // Every cover edge must go up the diagram. `{1,2}` with support 9
+    // above `{1}` with support 2 would yield a rule whose support
+    // exceeds its antecedent's; `{0}` above `{1}` is no superset.
+    for (node, corrupt) in [("[[1,2],1]", "[[1,2],9]"), ("[[0,1],1]", "[[0],1]")] {
+        assert_eq!(json.matches(node).count(), 1, "{json}");
+        let bad = json.replacen(node, corrupt, 1);
+        let err = serde_json::from_str::<IncrementalLattice>(&bad).unwrap_err();
+        assert!(
+            err.to_string().contains("strict superset"),
+            "{corrupt}: {err}"
+        );
+    }
 }

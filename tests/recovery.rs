@@ -604,6 +604,7 @@ fn a_ttl_ledger_that_does_not_cover_the_rows_is_rejected() {
         .checkpointing(TransactionDb::from_rows(rows[..8].to_vec()), dir.path())
         .unwrap();
     ckpt.set_window(Window::Ttl(1)).unwrap();
+    ckpt.checkpoint_now().unwrap();
     ckpt.push_batch(rows[8..].to_vec()).unwrap();
     let generation = ckpt.generation();
     drop(ckpt);
@@ -627,6 +628,111 @@ fn a_ttl_ledger_that_does_not_cover_the_rows_is_rejected() {
         "{}",
         rejected[0]
     );
+}
+
+#[test]
+fn a_lattice_whose_cover_has_more_support_is_rejected_with_a_typed_reason() {
+    // A checksum-valid payload that makes `{1,2}` (support 9) the upper
+    // cover of `{1}` (support 2): deriving the bases from it would build
+    // a rule whose support exceeds its antecedent's, so the lattice's
+    // own validation rejects the payload first.
+    let dir = TempDir::new("cover");
+    let config = RuleMiner::new(MinSupport::Count(1)).min_confidence(0.5);
+    let (ckpt, _) = config
+        .checkpointing(
+            TransactionDb::from_rows(vec![vec![0, 1], vec![1, 2]]),
+            dir.path(),
+        )
+        .unwrap();
+    let path = dir
+        .path()
+        .join(format!("checkpoint-{:06}.ckpt", ckpt.generation()));
+    drop(ckpt);
+    let payload = read_payload(&path);
+    assert_eq!(payload.matches("[[1,2],1]").count(), 1, "{payload}");
+    reframe(&path, &payload.replacen("[[1,2],1]", "[[1,2],9]", 1));
+
+    let rejected = expect_no_checkpoint(dir.path());
+    assert_eq!(rejected.len(), 1, "{rejected:?}");
+    assert!(
+        rejected[0].contains("corrupt payload")
+            && rejected[0].contains("upper cover is not a strict superset"),
+        "{}",
+        rejected[0]
+    );
+}
+
+/// Flips one payload bit of checkpoint generation `seq` in `dir`, which
+/// the checksum always catches.
+fn corrupt_checkpoint(dir: &Path, seq: u64) {
+    let path = dir.join(format!("checkpoint-{seq:06}.ckpt"));
+    let header = fs::read(&path)
+        .unwrap()
+        .iter()
+        .position(|&b| b == b'\n')
+        .unwrap();
+    FaultFs::new()
+        .flip_bit(header as u64 + 8, 2)
+        .apply_to(&path)
+        .unwrap();
+}
+
+#[test]
+fn a_window_change_survives_a_fallback_past_the_checkpoint_after_it() {
+    // The window change is journaled between two batches. Rejecting the
+    // newest checkpoint falls back to the one before the change, and
+    // the journal replays the change in order with the batches.
+    let rows = census_rows(14);
+    let config = RuleMiner::new(MinSupport::Count(2)).min_confidence(0.5);
+    let dir = TempDir::new("window-fallback");
+    let (ckpt, _) = config
+        .checkpointing(TransactionDb::from_rows(rows[..8].to_vec()), dir.path())
+        .unwrap();
+    let mut ckpt = ckpt.policy(CheckpointPolicy {
+        every_batches: usize::MAX,
+        every_journal_bytes: u64::MAX,
+    });
+    ckpt.push_batch(rows[8..10].to_vec()).unwrap();
+    ckpt.checkpoint_now().unwrap();
+    ckpt.set_window(Window::Ttl(1)).unwrap();
+    ckpt.push_batch(rows[10..14].to_vec()).unwrap();
+    let newest = ckpt.generation();
+    drop(ckpt); // crash
+
+    let mut twin = config.streaming(TransactionDb::from_rows(rows[..8].to_vec()));
+    twin.push_batch(rows[8..10].to_vec()).unwrap();
+    twin.set_window(Window::Ttl(1));
+    twin.push_batch(rows[10..14].to_vec()).unwrap();
+    assert_eq!(twin.n_objects(), 4);
+
+    corrupt_checkpoint(dir.path(), newest);
+    let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    assert_eq!(report.skipped.len(), 1, "{:?}", report.skipped);
+    assert!(report.lost.is_none(), "{:?}", report.lost);
+    assert_eq!(recovered.session().window_config(), Window::Ttl(1));
+    assert_eq!(folded_payload(&recovered), wire_of(&twin));
+}
+
+#[test]
+fn a_recovery_past_a_rejected_checkpoint_keeps_the_restored_one_as_fallback() {
+    // Checkpoint 2 is rejected, so recovery restores checkpoint 1 and
+    // replays journals 1 and 2 into a fresh checkpoint. When that one
+    // is corrupt too, checkpoint 1 and journals 1-3 must still be there
+    // to restore the same session.
+    let (dir, _files, _mid, full) = two_generation_fixture();
+    corrupt_checkpoint(dir.path(), 2);
+    let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    assert_eq!(report.checkpoint_seq, 1);
+    assert_eq!(folded_payload(&recovered), full);
+    let fresh = recovered.generation();
+    drop(recovered); // crash
+
+    corrupt_checkpoint(dir.path(), fresh);
+    let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    assert_eq!(report.checkpoint_seq, 1);
+    assert_eq!(report.skipped.len(), 2, "{:?}", report.skipped);
+    assert!(report.lost.is_none(), "{:?}", report.lost);
+    assert_eq!(folded_payload(&recovered), full);
 }
 
 #[test]

@@ -5,9 +5,10 @@
 //! the one-shot fused pipeline computes on the full context — closed
 //! sets, Hasse edges, the DG basis, and both Luxenburger bases. And it
 //! must get there cheaper: `push_batch` patches the maintained lattice
-//! with set algebra, so a whole replay performs strictly fewer engine
-//! calls than re-mining the grown context from scratch once per batch
-//! (the `bases-stream` bench pins the same invariant at bench scale).
+//! with set algebra and the session holds no support engine, so a whole
+//! replay makes no engine calls where re-mining the grown context from
+//! scratch once per batch makes many (the `bases-stream` bench records
+//! the same tallies at bench scale).
 //!
 //! Case counts respect the `PROPTEST_CASES` environment variable so the
 //! 1-CPU suite stays inside its budget.
@@ -209,21 +210,19 @@ proptest! {
 
 /// The acceptance pin: maintaining the bases over a batched replay costs
 /// strictly fewer engine calls than re-mining the grown context from
-/// scratch at every batch — the `push_batch` path answers out of the
-/// maintained lattice, not the engine.
+/// scratch at every batch. The `push_batch` path answers out of the
+/// maintained lattice, and the session holds no engine, so its side of
+/// the comparison is zero by construction.
 #[test]
 fn streaming_uses_strictly_fewer_engine_calls_than_remining() {
     let rows = census_rows(256);
     let miner = RuleMiner::new(MinSupport::Fraction(0.1)).min_confidence(0.6);
 
     let mut stream = miner.streaming(TransactionDb::from_rows(vec![]));
-    let mut streaming_calls = 0u64;
     let mut remining_calls = 0u64;
     let mut seen = 0;
     for chunk in rows.chunks(64) {
-        let before = stream.context().closure_cache_stats().engine_calls();
         stream.push_batch(chunk.to_vec()).unwrap();
-        streaming_calls += stream.context().closure_cache_stats().engine_calls() - before;
         seen += chunk.len();
 
         // The alternative: re-mine the grown prefix from scratch.
@@ -238,18 +237,17 @@ fn streaming_uses_strictly_fewer_engine_calls_than_remining() {
         assert_stream_matches_oracle(stream.bases(), &remined, &format!("prefix {seen}"));
     }
     assert!(
-        streaming_calls < remining_calls,
-        "streaming must perform strictly fewer engine calls: \
-         streaming {streaming_calls} !< re-mining {remining_calls}"
+        remining_calls > 0,
+        "re-mining must query the engine the streaming session does not hold"
     );
 }
 
 /// The zero-copy acceptance pin at the session level: `push_batch`
 /// performs no full-CSR clone — a 1-row append
 /// against a 4096-row prefix copies a constant-bounded number of row
-/// bytes (the same number a 512-row prefix pays), every pre-append
-/// storage segment survives by identity, and a universe-growing append
-/// rewrites none of them.
+/// bytes into its one new segment (the same number a 512-row prefix
+/// pays), every pre-append storage segment survives by identity, and a
+/// universe-growing append rewrites none of them.
 #[test]
 fn push_batch_copies_batch_sized_bytes_regardless_of_prefix() {
     let miner = RuleMiner::new(MinSupport::Fraction(0.1)).min_confidence(0.6);
@@ -257,10 +255,10 @@ fn push_batch_copies_batch_sized_bytes_regardless_of_prefix() {
     for prefix in [512usize, 4096] {
         let mut stream = miner.streaming(TransactionDb::from_rows(census_rows(prefix)));
         let addrs_before = stream.db().segment_addrs();
-        let bytes_before = stream.context().closure_cache_stats().bytes_copied;
+        let bytes_before = stream.db().storage_bytes();
         stream.push_batch(vec![vec![0, 4, 7, 9]]).unwrap();
-        let copied = stream.context().closure_cache_stats().bytes_copied - bytes_before;
-        assert!(copied > 0, "the engine reads the appended row");
+        let copied = stream.db().storage_bytes() - bytes_before;
+        assert!(copied > 0, "the append stores the row");
         assert!(
             copied < 128,
             "1-row push against a {prefix}-row prefix copied {copied} bytes"
@@ -283,22 +281,4 @@ fn push_batch_copies_batch_sized_bytes_regardless_of_prefix() {
     assert_eq!(stream.db().n_items(), 21);
     let addrs_after = stream.db().segment_addrs();
     assert_eq!(&addrs_after[..addrs_before.len()], &addrs_before[..]);
-}
-
-/// `EngineKind::Auto` resolves once, at engine construction, and the
-/// resolved backend is observable through the context.
-#[test]
-fn auto_resolution_is_exposed_and_stable_across_batches() {
-    let miner = RuleMiner::new(MinSupport::Count(2));
-    let mut stream = miner.streaming(TransactionDb::from_rows(census_rows(32)));
-    assert_eq!(stream.context().resolved_kind(), EngineKind::Dense);
-    stream.push_batch(census_rows(16)).unwrap();
-    // An engine never re-resolves mid-stream.
-    assert_eq!(stream.context().resolved_kind(), EngineKind::Dense);
-    assert_eq!(stream.context().epoch(), 1);
-
-    let explicit = RuleMiner::new(MinSupport::Count(2))
-        .engine(EngineKind::TidList)
-        .streaming(TransactionDb::from_rows(census_rows(8)));
-    assert_eq!(explicit.context().resolved_kind(), EngineKind::TidList);
 }

@@ -7,9 +7,8 @@
 //! backend and *any* batch schedule, for both absolute and rescaling
 //! thresholds. `Window::Ttl(k)` does the same with whole batches as the
 //! unit of aging. And the session must get there without ever re-mining:
-//! expiry flows through the engine/lattice delta machinery, performing
-//! zero support-engine calls (the `bases-window` bench pins the same
-//! invariant at bench scale).
+//! expiry flows through the lattice's delta machinery, and the session
+//! holds no support engine to call.
 //!
 //! Case counts respect the `PROPTEST_CASES` environment variable so the
 //! 1-CPU suite stays inside its budget.
@@ -150,9 +149,11 @@ proptest! {
 
 /// The acceptance pin at test scale: replaying a sliding window never
 /// re-mines — base maintenance (appends *and* expiries) runs entirely on
-/// the lattice's set algebra, so the whole replay performs zero
-/// support-engine calls, and the retained storage stays bounded by the
-/// window rather than the stream length.
+/// the lattice's set algebra, and the session holds no support engine,
+/// so the whole replay performs zero support-engine calls by
+/// construction. What is measured here: every push leaves exactly the
+/// window's rows, and the retained storage stays bounded by the window
+/// rather than the stream length.
 #[test]
 fn sliding_replay_performs_zero_engine_calls_and_bounded_storage() {
     let rows = census_rows(512);
@@ -161,13 +162,12 @@ fn sliding_replay_performs_zero_engine_calls_and_bounded_storage() {
         .clone()
         .streaming(TransactionDb::from_rows(vec![]))
         .window(Window::Sliding(64));
+    let mut seen = 0;
     for chunk in rows.chunks(32) {
-        let before = stream.context().closure_cache_stats().engine_calls();
         stream.push_batch(chunk.to_vec()).unwrap();
-        let after = stream.context().closure_cache_stats().engine_calls();
-        assert_eq!(after, before, "expiring push queried the engine");
+        seen += chunk.len();
+        assert_eq!(stream.n_objects(), seen.min(64));
     }
-    assert_eq!(stream.n_objects(), 64);
 
     // Storage bound: the windowed view retains a bounded multiple of the
     // window's own bytes (segment granularity and compaction hysteresis
