@@ -12,15 +12,17 @@
 //! performs exactly **zero** support-engine calls (the rows, lattice and
 //! window are deserialized; the bases are derived from the lattice, which
 //! needs no engine query), the journal replay stays on the
-//! engine-call-free delta path, nothing is reported lost, and the
-//! recovered bases equal the re-mined oracle's. The CI-run twins live
-//! in `tests/recovery.rs`.
+//! engine-call-free delta path, nothing is reported lost, the recovery
+//! resumes the generation it restored (the crash left nothing newer, so
+//! it writes no checkpoint), and the recovered bases equal the re-mined
+//! oracle's. The CI-run twins live in `tests/recovery.rs`.
 //!
 //! The headline numbers are written to `BENCH_recover.json` at the
 //! workspace root (the committed copy is the `bench-gate` baseline: the
-//! engine-call and replayed-batch counters are deterministic and gated
-//! exactly; recovery wall clocks ride the documented noise band) and
-//! appended to `BENCH_history.jsonl`.
+//! engine-call, replayed-batch, checkpoint-byte and written-generation
+//! counters are deterministic and gated exactly; recovery wall clocks
+//! ride the documented noise band) and appended to
+//! `BENCH_history.jsonl`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rulebases::checkpoint::{CheckpointPolicy, CheckpointedMiner};
@@ -98,8 +100,9 @@ fn crash_session(rows: &[Vec<u32>], dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
         .collect()
 }
 
-/// Rewinds `dir` to the saved post-crash contents (recovery folds new
-/// generations and retires old ones, so every run starts from scratch).
+/// Rewinds `dir` to the saved post-crash contents, so every recovery
+/// starts from the identical on-disk state whatever the previous one
+/// wrote.
 fn reset_dir(dir: &Path, files: &[(PathBuf, Vec<u8>)]) {
     let _ = fs::remove_dir_all(dir);
     fs::create_dir_all(dir).expect("recreate scratch dir");
@@ -116,6 +119,9 @@ struct RecoverCell {
     batch: usize,
     /// Payload bytes the checkpoint restore deserialized.
     checkpoint_bytes: u64,
+    /// Checkpoint generations the recovery wrote: 0, since a clean
+    /// recovery resumes the generation it restored.
+    generations_written: u64,
     /// Journaled batches replayed on top of the checkpoint
     /// (deterministic for the fixed schedule and fold policy).
     batches_replayed: usize,
@@ -195,6 +201,11 @@ fn bench_bases_recover(c: &mut Criterion) {
             report.batches_replayed > 0,
             "{name}: tail must be journaled"
         );
+        let generations_written = recovered.generation() - report.checkpoint_seq;
+        assert_eq!(
+            generations_written, 0,
+            "{name}: a clean recovery resumes the generation it restored"
+        );
         assert_eq!(
             recovered.bases().dg.rules(),
             oracle.dg.rules(),
@@ -221,6 +232,7 @@ fn bench_bases_recover(c: &mut Criterion) {
             rows: rows.len(),
             batch: BATCH,
             checkpoint_bytes: report.bytes_restored,
+            generations_written,
             batches_replayed: report.batches_replayed,
             journal_bytes_replayed: report.journal_bytes_replayed,
             restore_engine_calls: report.restore_engine_calls,

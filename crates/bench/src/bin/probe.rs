@@ -41,7 +41,11 @@
 //! simulating a crash — then recovers the directory and finishes the
 //! replay on the recovered session, printing the recovery report
 //! (checkpoint restored, bytes, batches replayed, and the engine-call
-//! tally: the restore itself performs 0 engine calls during restore).
+//! tally: the restore itself performs 0 engine calls during restore)
+//! and whether it `resumed generation <n>` (the newest generation
+//! restored cleanly, nothing written) or `folded into generation <n>`
+//! (a rejected file or a lost suffix). Reopening a directory that
+//! already holds a session prints the same two lines.
 //!
 //! Besides the paper stand-ins, the dataset name `DRIFT` selects the
 //! `drifting_census` generator (item popularity rotates per block), the
@@ -60,7 +64,7 @@
 //! unknown scale, an unknown option or a malformed option value exits
 //! with status 2 and the usage line — never a silent default.
 
-use rulebases::checkpoint::CheckpointedMiner;
+use rulebases::checkpoint::{CheckpointedMiner, RecoveryReport};
 use rulebases::{PipelineKind, RuleMiner, RuleReader, Window};
 use rulebases_bench::{
     drifting_census, engine_from_env, pipeline_from_env, project_top_items, Scale, StandIn,
@@ -204,6 +208,17 @@ fn positive(flag: &str, raw: &str) -> Result<usize, String> {
     }
 }
 
+/// Whether a recovery resumed the generation it restored (a clean
+/// restore writes nothing) or folded the session into a fresh one.
+fn recovery_outcome(miner: &CheckpointedMiner, report: &RecoveryReport) -> String {
+    let generation = miner.generation();
+    if generation == report.checkpoint_seq {
+        format!("resumed generation {generation}")
+    } else {
+        format!("folded into generation {generation}")
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Args {
@@ -341,6 +356,7 @@ fn main() {
                 .expect("open checkpoint directory");
             if let Some(report) = resumed {
                 println!("resumed a persisted session:\n{report}");
+                println!("{}", recovery_outcome(&ckpt, &report));
             }
             if window > 0 {
                 ckpt.set_window(Window::Sliding(window))
@@ -362,6 +378,7 @@ fn main() {
                         CheckpointedMiner::recover(&dir).expect("recover session");
                     println!("{report}");
                     println!("recovery took {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
+                    println!("{}", recovery_outcome(&recovered, &report));
                     session = Some(recovered);
                 }
                 session

@@ -307,6 +307,14 @@ pub fn gated_benches() -> Vec<(&'static str, Vec<MetricCheck>)> {
                 MetricCheck::exact("cells.1.replay_engine_calls"),
                 MetricCheck::exact("cells.0.batches_replayed"),
                 MetricCheck::exact("cells.1.batches_replayed"),
+                // The restored payload is the fixed replay's lattice and
+                // rows, and a clean recovery resumes the generation it
+                // restored: any byte more, or any checkpoint written, is a
+                // regression.
+                MetricCheck::exact("cells.0.checkpoint_bytes"),
+                MetricCheck::exact("cells.1.checkpoint_bytes"),
+                MetricCheck::exact("cells.0.generations_written"),
+                MetricCheck::exact("cells.1.generations_written"),
                 // The headline: recovering must stay cheap relative to
                 // the committed baseline (restore + 2-batch replay).
                 MetricCheck::wall("cells.0.recover_wall_us"),
@@ -506,12 +514,14 @@ mod tests {
         let recover = serde_json::parse(
             r#"{"fold_every": 6, "cells": [
                   {"dataset": "C20D10K*", "rows": 500, "batch": 64,
-                   "checkpoint_bytes": 9000, "batches_replayed": 2,
+                   "checkpoint_bytes": 57185, "generations_written": 0,
+                   "batches_replayed": 2,
                    "journal_bytes_replayed": 2400, "restore_engine_calls": 0,
                    "replay_engine_calls": 0, "recover_wall_us": 800.0,
                    "remine_wall_us": 1300.0},
                   {"dataset": "DRIFT*", "rows": 512, "batch": 64,
-                   "checkpoint_bytes": 7000, "batches_replayed": 2,
+                   "checkpoint_bytes": 22944, "generations_written": 0,
+                   "batches_replayed": 2,
                    "journal_bytes_replayed": 2100, "restore_engine_calls": 0,
                    "replay_engine_calls": 0, "recover_wall_us": 700.0,
                    "remine_wall_us": 1200.0}]}"#,

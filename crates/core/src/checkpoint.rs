@@ -68,11 +68,17 @@
 //! ends the replay: everything before it is restored exactly, and the
 //! [`RecoveryReport`] names the lost suffix (file and byte offset).
 //!
-//! Recovery folds the recovered session into a fresh generation past
-//! every file present and retires only the generations older than the
-//! one it restored: when it fell back past a rejected checkpoint, the
-//! restored generation and its journals stay behind as the fallback
-//! until the next fold, so a corrupt fresh checkpoint still recovers.
+//! A clean recovery — the restored checkpoint is the newest generation
+//! of any file in the directory, and nothing was lost — writes nothing:
+//! it resumes the generation it restored, so later pushes append to that
+//! generation's journal and the [`CheckpointPolicy`] counts from the
+//! replayed tail, folding on the schedule of a session that never
+//! crashed. Any other recovery folds the recovered session into a fresh
+//! generation past every file present and retires only the generations
+//! older than the one it restored: when it fell back past a rejected
+//! checkpoint, the restored generation and its journals stay behind as
+//! the fallback until the next fold, so a corrupt fresh checkpoint still
+//! recovers.
 //!
 //! # Recovery invariant
 //!
@@ -481,10 +487,11 @@ impl CheckpointedMiner {
     /// Opens a durable session in `dir`: if the directory already holds
     /// a checkpoint, the session is [recovered](CheckpointedMiner::recover)
     /// from disk and `seed` is **ignored** (the report says what was
-    /// restored); otherwise the directory is created, a session is
-    /// seeded from `seed`, and its initial checkpoint is written before
-    /// this returns — a crash at any later point can recover at least
-    /// the seed.
+    /// restored; a clean recovery resumes the restored generation, so
+    /// reopening a directory rewrites nothing); otherwise the directory
+    /// is created, a session is seeded from `seed`, and its initial
+    /// checkpoint is written before this returns — a crash at any later
+    /// point can recover at least the seed.
     pub fn open(
         config: &RuleMiner,
         seed: TransactionDb,
@@ -516,11 +523,18 @@ impl CheckpointedMiner {
 
     /// Rebuilds the session persisted in `dir`: restores the newest
     /// valid checkpoint (falling back generation by generation, each
-    /// rejection recorded), replays the journaled tail through the
-    /// normal push path, then folds the recovered state into a fresh
-    /// checkpoint so the directory is crash-consistent again. The
-    /// restore itself performs zero support-engine calls; replayed
-    /// batches pay only their normal delta cost. Never panics on a
+    /// rejection recorded) and replays the journaled tail through the
+    /// normal push path. When the restored checkpoint is the newest
+    /// generation of any file in `dir` and nothing was lost, the
+    /// directory already is the session: the miner resumes that
+    /// generation (its [`generation`](CheckpointedMiner::generation) is
+    /// [`RecoveryReport::checkpoint_seq`], its journal counters start
+    /// from the replayed tail) and nothing is written, renamed or
+    /// deleted. Otherwise the recovered state is folded into a fresh
+    /// checkpoint past every file present, so later pushes never append
+    /// beyond a rejected file or a lost suffix. The restore itself
+    /// performs zero support-engine calls; replayed batches pay only
+    /// their normal delta cost. Never panics on a
     /// corrupt directory — every failure mode is a typed
     /// [`RecoveryError`], and a torn journal tail is reported as
     /// [`RecoveryReport::lost`], not an error.
@@ -582,11 +596,13 @@ impl CheckpointedMiner {
             j += 1;
         }
 
-        // Fold the recovered state into a fresh generation past every
-        // file present (valid or not): pushes after a recovery must never
+        // A clean restore (the newest generation on disk, nothing lost)
+        // resumes that generation as it stands. Otherwise fold the
+        // recovered state into a fresh generation past every file
+        // present (valid or not): pushes after a recovery must never
         // append beyond a lost suffix. Generations from the restored one
         // on stay as the fallback; the next fold retires them.
-        let base = checkpoints
+        let newest = checkpoints
             .keys()
             .chain(journals.keys())
             .copied()
@@ -596,13 +612,15 @@ impl CheckpointedMiner {
             inner: session,
             dir,
             policy: CheckpointPolicy::default(),
-            seq: base,
-            journal_batches: 0,
-            journal_bytes: 0,
+            seq: newest,
+            journal_batches: report.batches_replayed,
+            journal_bytes: report.journal_bytes_replayed,
         };
-        miner
-            .fold(&FaultFs::default(), seq)
-            .map_err(|e| checkpoint_to_recovery(e, &miner.dir))?;
+        if newest != seq || report.lost.is_some() {
+            miner
+                .fold(&FaultFs::default(), seq)
+                .map_err(|e| checkpoint_to_recovery(e, &miner.dir))?;
+        }
         Ok((miner, report))
     }
 
@@ -642,10 +660,16 @@ impl CheckpointedMiner {
         Ok(delta)
     }
 
-    /// Appends one framed record to the current journal and flushes it.
+    /// Appends one framed record to the current journal and flushes it;
+    /// a journal this append creates (a resumed generation that had
+    /// none) also gets its directory entry synced.
     fn journal(&mut self, record: &[u8]) -> Result<(), CheckpointError> {
         let path = journal_path(&self.dir, self.seq);
+        let created = !path.exists();
         append_synced(&path, record).map_err(|error| CheckpointError::Io { path, error })?;
+        if created {
+            sync_dir(&self.dir);
+        }
         self.journal_bytes += record.len() as u64;
         Ok(())
     }
@@ -667,9 +691,9 @@ impl CheckpointedMiner {
         self.fold(faults, self.seq)
     }
 
-    /// Writes generation `seq + 1` and, when the write committed, opens
-    /// its empty journal and retires every generation older than
-    /// `keep_from`.
+    /// Writes generation `seq + 1` and, when the write committed, creates
+    /// its empty journal (file and directory entry synced) and retires
+    /// every generation older than `keep_from`.
     fn fold(&mut self, faults: &FaultFs, keep_from: u64) -> Result<PathBuf, CheckpointError> {
         let next = self.seq + 1;
         let path = write_generation(&self.dir, next, &self.inner, faults)?;
@@ -679,6 +703,7 @@ impl CheckpointedMiner {
                 path: journal,
                 error,
             })?;
+            sync_dir(&self.dir);
             self.seq = next;
             self.journal_batches = 0;
             self.journal_bytes = 0;
@@ -707,12 +732,14 @@ impl CheckpointedMiner {
         self.seq
     }
 
-    /// Batches journaled since the last fold.
+    /// Batches journaled since the last fold (a clean recovery counts
+    /// the ones it replayed from the generation it resumed).
     pub fn journal_batches(&self) -> usize {
         self.journal_batches
     }
 
-    /// Bytes journaled since the last fold.
+    /// Bytes journaled since the last fold (a clean recovery counts the
+    /// ones it replayed from the generation it resumed).
     pub fn journal_bytes(&self) -> u64 {
         self.journal_bytes
     }
@@ -850,9 +877,9 @@ fn scan_dir(dir: &Path) -> Result<(BTreeMap<u64, PathBuf>, BTreeMap<u64, PathBuf
 }
 
 /// Deletes every generation strictly older than `keep_from` — called
-/// after a successful fold with the *previous* generation (or, after a
-/// recovery, the restored one), so the directory retains the current
-/// checkpoint and its fallback.
+/// after a successful fold with the *previous* generation (or, after an
+/// unclean recovery, the restored one), so the directory retains the
+/// current checkpoint and its fallback.
 fn retire_generations(dir: &Path, keep_from: u64) {
     let Ok((checkpoints, journals)) = scan_dir(dir) else {
         return;
@@ -1077,8 +1104,9 @@ fn append_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
     file.sync_all()
 }
 
-/// Best-effort directory sync after a rename, so the new directory
-/// entry itself is durable on filesystems that need it. Failure is
+/// Best-effort directory sync after a rename or a file creation, so the
+/// new directory entry itself is durable on filesystems that need it
+/// (fsync on the file covers its data, not its name). Failure is
 /// ignored: some platforms cannot sync directories at all, and the
 /// rename's atomicity does not depend on it.
 fn sync_dir(dir: &Path) {

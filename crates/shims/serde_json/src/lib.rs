@@ -6,7 +6,7 @@
 //! snapshots.
 
 use serde::{Deserialize, Serialize, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// JSON rendering/parsing error.
 #[derive(Clone, Debug)]
@@ -111,10 +111,27 @@ fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        out.push_str(&format!("{}", n as i64));
+        // An integral value renders as `n as i64` would, digit by digit
+        // into `out` (at most 16 digits below 9e15).
+        let i = n as i64;
+        if i < 0 {
+            out.push('-');
+        }
+        let mut magnitude = i.unsigned_abs();
+        let mut digits = [0u8; 16];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (magnitude % 10) as u8;
+            magnitude /= 10;
+            if magnitude == 0 {
+                break;
+            }
+        }
+        out.extend(digits[at..].iter().map(|&d| d as char));
     } else {
         // `{}` on f64 prints the shortest representation that round-trips.
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -217,6 +234,16 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<V
 }
 
 fn parse_number(s: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+    match parse_plain_integer(bytes, pos) {
+        Some(n) => Ok(Value::Number(n)),
+        None => parse_float(s, bytes, pos),
+    }
+}
+
+/// Reads any number token through `str::parse::<f64>`: the token is the
+/// longest run of digits, `.`, `e`, `E`, `+` and `-` (after an optional
+/// leading `-`).
+fn parse_float(s: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -230,6 +257,37 @@ fn parse_number(s: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Error> 
         .parse::<f64>()
         .map(Value::Number)
         .map_err(|e| Error::at(format!("invalid number ({e})"), bytes, start))
+}
+
+/// Reads a plain integer token at `pos` by accumulating its digits: an
+/// optional `-`, then at most 15 digits with no leading zero, not
+/// followed by `.`, `e`, `E`, `+` or `-`. Below 10^15 the sum is exact,
+/// so it is the value `str::parse::<f64>` reads (`-0` included). Any
+/// other token returns `None` with `pos` untouched.
+fn parse_plain_integer(bytes: &[u8], pos: &mut usize) -> Option<f64> {
+    let negative = bytes.get(*pos) == Some(&b'-');
+    let first = *pos + usize::from(negative);
+    let mut end = first;
+    let mut n = 0u64;
+    // A 16th digit already disqualifies the token; stop before it can
+    // overflow anything.
+    while end - first < 16 {
+        match bytes.get(end) {
+            Some(&d @ b'0'..=b'9') => n = n * 10 + u64::from(d - b'0'),
+            _ => break,
+        }
+        end += 1;
+    }
+    let len = end - first;
+    let plain = (1..=15).contains(&len)
+        && (len == 1 || bytes[first] != b'0')
+        && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+    if !plain {
+        return None;
+    }
+    *pos = end;
+    let n = n as f64;
+    Some(if negative { -n } else { n })
 }
 
 fn parse_string(s: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
@@ -322,6 +380,134 @@ mod tests {
             let json = to_string(&x).unwrap();
             let back: f64 = from_str(&json).unwrap();
             assert_eq!(back, x);
+        }
+    }
+
+    /// Integral values at and around the digit writer's edges: zero of
+    /// both signs, ±1, ±2^53, the last value below 9e15, values from 9e15
+    /// up, and 15- and 16-digit magnitudes.
+    const INTEGRAL_EDGES: [f64; 16] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        9_007_199_254_740_992.0,
+        -9_007_199_254_740_992.0,
+        8_999_999_999_999_999.0,
+        -8_999_999_999_999_999.0,
+        9e15,
+        -9e15,
+        1e20,
+        999_999_999_999_999.0,
+        -999_999_999_999_999.0,
+        100_000_000_000_000.0,
+        1_000_000_000_000_000.0,
+        4_294_967_295.0,
+    ];
+
+    #[test]
+    fn integers_render_as_their_formatted_i64() {
+        for n in INTEGRAL_EDGES {
+            let expected = if n.abs() < 9e15 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            };
+            assert_eq!(to_string(&n).unwrap(), expected, "{n:?}");
+        }
+        for n in (-1000..=1000).map(f64::from) {
+            assert_eq!(to_string(&n).unwrap(), format!("{}", n as i64));
+        }
+        assert_eq!(to_string(&1.5f64).unwrap(), "1.5");
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+    }
+
+    #[test]
+    fn integers_parse_to_the_bits_str_parse_reads() {
+        for n in INTEGRAL_EDGES {
+            let token = to_string(&n).unwrap();
+            let parsed = parse(&token).unwrap().as_f64().unwrap();
+            let expected = token.parse::<f64>().unwrap();
+            assert_eq!(parsed.to_bits(), expected.to_bits(), "{token}");
+        }
+        for token in [
+            "-0",
+            "0",
+            "123456789012345",
+            "1234567890123456",
+            "-999999999999999",
+        ] {
+            let parsed = parse(token).unwrap().as_f64().unwrap();
+            let expected = token.parse::<f64>().unwrap();
+            assert_eq!(parsed.to_bits(), expected.to_bits(), "{token}");
+        }
+    }
+
+    #[test]
+    fn number_tokens_read_as_the_float_path_reads_them() {
+        // Each token through the number parser, against the float path
+        // alone (the parser before plain integers were accumulated):
+        // the same value bits or the same error, at the same position.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = (0..2000)
+            .map(|i: u32| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                let digits = 1 + i % 17;
+                let magnitude = (state >> 1) % 10u64.pow(digits);
+                let sign = if state & 1 == 1 { "-" } else { "" };
+                format!("{sign}{magnitude}")
+            })
+            .collect::<Vec<_>>();
+        random.extend(
+            [
+                "01",
+                "-",
+                "-0",
+                "1.5",
+                "1e3",
+                "1-2",
+                "1.2.3",
+                "-01",
+                "1E3",
+                "1+2",
+                "0.5",
+                "-x",
+                "7,",
+                "42]",
+                "0012",
+                "12345678901234567890",
+            ]
+            .map(String::from),
+        );
+        for token in &random {
+            let token = token.as_str();
+            let bytes = token.as_bytes();
+            let (mut fast_pos, mut slow_pos) = (0, 0);
+            let fast = parse_number(token, bytes, &mut fast_pos);
+            let slow = parse_float(token, bytes, &mut slow_pos);
+            match (fast, slow) {
+                (Ok(Value::Number(a)), Ok(Value::Number(b))) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{token}");
+                    assert_eq!(fast_pos, slow_pos, "{token}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{token}"),
+                (a, b) => panic!("{token}: {a:?} vs {b:?}"),
+            }
+        }
+        assert_eq!(parse("01").unwrap().as_f64(), Some(1.0));
+        assert_eq!(parse("1e3").unwrap().as_f64(), Some(1000.0));
+        assert_eq!(
+            parse("-0").unwrap().as_f64().map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        for token in ["-", "1-2", "1.2.3"] {
+            assert_eq!(
+                parse(token).unwrap_err().to_string(),
+                "invalid number (invalid float literal) at byte 0 (line 1, column 1)",
+                "{token}"
+            );
         }
     }
 

@@ -13,6 +13,12 @@
 //! deltas of the next push: a rebuilt base map that differs from the
 //! uncrashed twin's patched one shows up in either.
 //!
+//! A recovery that restored the newest generation on disk and lost
+//! nothing resumes that generation: it writes, renames and deletes
+//! nothing, so its result is read off the live session. Any other
+//! recovery folds a fresh generation past every file, and its result is
+//! read off that checkpoint (`check_recovery` holds both).
+//!
 //! The fault half of the contract: truncating the newest checkpoint or
 //! journal at *every byte boundary* (and flipping bits, and dropping
 //! the atomic rename) yields either an exact restore from the fallback
@@ -24,7 +30,7 @@
 
 use proptest::prelude::*;
 use rulebases::checkpoint::{
-    write_snapshot, CheckpointPolicy, CheckpointedMiner, FaultFs, RecoveryError,
+    write_snapshot, CheckpointPolicy, CheckpointedMiner, FaultFs, RecoveryError, RecoveryReport,
 };
 use rulebases::{BasesDelta, MinedBases, RuleMiner, StreamingMiner, Window};
 use rulebases_dataset::checksum::fnv1a64;
@@ -160,14 +166,89 @@ fn wire_of(session: &StreamingMiner) -> String {
     read_payload(&path)
 }
 
-/// The checkpoint recovery folded for a freshly recovered miner — its
-/// payload IS the recovered session's wire form.
-fn folded_payload(miner: &CheckpointedMiner) -> String {
-    read_payload(
-        &miner
+/// Every file in `dir` with its bytes, sorted by path.
+fn dir_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let bytes = fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The newest generation any checkpoint or journal file in `files`
+/// names (temp files name none).
+fn newest_generation(files: &[(PathBuf, Vec<u8>)]) -> u64 {
+    files
+        .iter()
+        .filter_map(|(path, _)| {
+            let name = path.file_name()?.to_str()?;
+            let seq = name
+                .strip_prefix("checkpoint-")
+                .and_then(|rest| rest.strip_suffix(".ckpt"))
+                .or_else(|| {
+                    name.strip_prefix("journal-")
+                        .and_then(|rest| rest.strip_suffix(".log"))
+                })?;
+            seq.parse().ok()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// Checks what a recovery of a directory that held `before` did to it.
+/// A clean recovery — the restored checkpoint is the newest generation
+/// of any file, and nothing was lost — resumes that generation and
+/// leaves every file byte-identical, so the live session's wire form
+/// must be `expected`. Any other recovery folds a fresh generation past
+/// every file, whose payload must be `expected`.
+fn check_recovery(
+    before: &[(PathBuf, Vec<u8>)],
+    miner: &CheckpointedMiner,
+    report: &RecoveryReport,
+    expected: &str,
+    label: &str,
+) {
+    let newest = newest_generation(before);
+    if report.checkpoint_seq == newest && report.lost.is_none() {
+        assert!(report.skipped.is_empty(), "{label}: {:?}", report.skipped);
+        assert_eq!(
+            miner.generation(),
+            report.checkpoint_seq,
+            "{label}: a clean recovery resumes the restored generation"
+        );
+        let after = dir_files(miner.dir());
+        assert!(
+            after.as_slice() == before,
+            "{label}: a clean recovery must write, rename and delete nothing: {:?} -> {:?}",
+            before.iter().map(|(p, b)| (p, b.len())).collect::<Vec<_>>(),
+            after.iter().map(|(p, b)| (p, b.len())).collect::<Vec<_>>(),
+        );
+        assert_eq!(wire_of(miner.session()), expected, "{label}");
+    } else {
+        assert_eq!(
+            miner.generation(),
+            newest + 1,
+            "{label}: an unclean recovery folds a fresh generation past every file"
+        );
+        let folded = miner
             .dir()
-            .join(format!("checkpoint-{:06}.ckpt", miner.generation())),
-    )
+            .join(format!("checkpoint-{:06}.ckpt", miner.generation()));
+        assert_eq!(read_payload(&folded), expected, "{label}");
+    }
+}
+
+/// Recovers `dir` and holds the result to [`check_recovery`].
+fn recover_checked(dir: &Path, expected: &str, label: &str) -> (CheckpointedMiner, RecoveryReport) {
+    let before = dir_files(dir);
+    let (miner, report) =
+        CheckpointedMiner::recover(dir).unwrap_or_else(|e| panic!("{label}: {e}"));
+    check_recovery(&before, &miner, &report, expected, label);
+    (miner, report)
 }
 
 // One case pushes the same schedule through a durable session and a
@@ -208,10 +289,20 @@ proptest! {
                 ckpt.push_batch(chunk.to_vec()).unwrap();
                 twin.push_batch(chunk.to_vec()).unwrap();
             }
+            let at_crash = (ckpt.generation(), ckpt.journal_batches(), ckpt.journal_bytes());
             drop(ckpt); // crash
 
-            let (mut recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+            // Persisted-state equality, byte for byte: db, lattice incl.
+            // tombstones and generator tags, window, TTL ledger. Nothing
+            // was lost, so the recovery resumes the crashed generation,
+            // its fold counters where the crash left them.
+            let (recovered, report) = recover_checked(dir.path(), &wire_of(&twin), &label);
             prop_assert!(report.lost.is_none(), "{}: {:?}", label, report.lost);
+            prop_assert_eq!(
+                (recovered.generation(), recovered.journal_batches(), recovered.journal_bytes()),
+                at_crash,
+                "{}: the recovery resumes the crashed journal", label
+            );
             prop_assert_eq!(
                 report.restore_engine_calls, 0,
                 "{}: restore must not query the support engine", label
@@ -221,18 +312,20 @@ proptest! {
                 "{}: replay must stay on the delta path", label
             );
 
-            // Persisted-state equality, byte for byte: db, lattice incl.
-            // tombstones and generator tags, window, TTL ledger.
-            prop_assert_eq!(folded_payload(&recovered), wire_of(&twin), "{}", label);
+            let mut recovered = recovered.policy(CheckpointPolicy {
+                every_batches: fold_every,
+                every_journal_bytes: u64::MAX,
+            });
             // The derived state: the bases restore rebuilt from the
             // lattice equal the ones the twin patched batch by batch.
             assert_same_bases(recovered.bases(), twin.bases(), &format!("{label}: recovered"));
 
             // The recovered session keeps streaming identically: the
-            // push moves the rebuilt maps exactly as it moves the twin's.
-            let extra = census_rows(n_rows + 5).split_off(n_rows);
-            let d1 = recovered.push_batch(extra.clone()).unwrap();
-            let d2 = twin.push_batch(extra).unwrap();
+            // push moves the rebuilt maps exactly as it moves the twin's,
+            // and lands in the resumed journal (or the fold it makes due).
+            let extra = census_rows(n_rows + 9).split_off(n_rows);
+            let d1 = recovered.push_batch(extra[..5].to_vec()).unwrap();
+            let d2 = twin.push_batch(extra[..5].to_vec()).unwrap();
             assert_same_delta(&d1, &d2, &format!("{label}: post-recovery push"));
             assert_same_bases(
                 recovered.bases(),
@@ -240,6 +333,16 @@ proptest! {
                 &format!("{label}: after post-recovery push"),
             );
             prop_assert_eq!(wire_of(recovered.session()), wire_of(&twin), "{}", label);
+            drop(recovered); // a second crash, after pushing into the resumed generation
+
+            let second = format!("{label}: second recovery");
+            let (mut recovered, report) = recover_checked(dir.path(), &wire_of(&twin), &second);
+            prop_assert!(report.lost.is_none(), "{}: {:?}", second, report.lost);
+            assert_same_bases(recovered.bases(), twin.bases(), &second);
+            let d1 = recovered.push_batch(extra[5..].to_vec()).unwrap();
+            let d2 = twin.push_batch(extra[5..].to_vec()).unwrap();
+            assert_same_delta(&d1, &d2, &format!("{second}: next push"));
+            prop_assert_eq!(wire_of(recovered.session()), wire_of(&twin), "{}", second);
         }
     }
 }
@@ -288,7 +391,7 @@ fn two_generation_fixture() -> (TempDir, Vec<(PathBuf, Vec<u8>)>, String, String
 }
 
 /// Rewinds the fixture directory to its pristine post-crash contents
-/// (recovery folds new generations and retires old ones, so every sweep
+/// (an unclean recovery folds a new generation, so every sweep
 /// iteration starts from scratch).
 fn reset_dir(dir: &Path, files: &[(PathBuf, Vec<u8>)]) {
     fs::remove_dir_all(dir).unwrap();
@@ -306,8 +409,7 @@ fn truncating_the_newest_checkpoint_at_every_byte_falls_back_exactly() {
     for cut in 0..=len as u64 {
         reset_dir(dir.path(), &files);
         FaultFs::new().truncate_at(cut).apply_to(&ckpt2).unwrap();
-        let (recovered, report) =
-            CheckpointedMiner::recover(dir.path()).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        let (_, report) = recover_checked(dir.path(), &full, &format!("cut {cut}"));
         // Nothing is ever lost: a broken checkpoint 2 falls back to
         // checkpoint 1, whose journal still holds every folded batch.
         assert!(report.lost.is_none(), "cut {cut}: {:?}", report.lost);
@@ -319,7 +421,6 @@ fn truncating_the_newest_checkpoint_at_every_byte_falls_back_exactly() {
         } else {
             assert_eq!(report.checkpoint_seq, 2, "uncut file must restore");
         }
-        assert_eq!(folded_payload(&recovered), full, "cut {cut}");
     }
 }
 
@@ -331,24 +432,22 @@ fn truncating_the_newest_journal_at_every_byte_restores_or_names_the_loss() {
     for cut in 0..=len as u64 {
         reset_dir(dir.path(), &files);
         FaultFs::new().truncate_at(cut).apply_to(&journal2).unwrap();
-        let (recovered, report) =
-            CheckpointedMiner::recover(dir.path()).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        let expected = if (cut as usize) < len { &mid } else { &full };
+        let (recovered, report) = recover_checked(dir.path(), expected, &format!("cut {cut}"));
         assert_eq!(report.checkpoint_seq, 2, "cut {cut}");
-        if cut == 0 {
-            // A cleanly empty journal: the fold-time state, nothing lost.
-            assert!(report.lost.is_none(), "cut 0");
-            assert_eq!(folded_payload(&recovered), mid, "cut 0");
-        } else if (cut as usize) < len {
+        if cut == 0 || cut as usize == len {
+            // A cleanly empty journal (the fold-time state) or the whole
+            // one: nothing lost, and generation 2 resumes as it stands.
+            assert!(report.lost.is_none(), "cut {cut}");
+            assert_eq!(recovered.generation(), 2, "cut {cut}");
+        } else {
             // A torn record: the loss names the file and the byte where
             // the valid prefix ends, and the restore is exactly that
-            // prefix — never a half-applied batch.
+            // prefix — never a half-applied batch — folded past the tear.
             let lost = report.lost.as_ref().unwrap_or_else(|| panic!("cut {cut}"));
             assert_eq!(lost.path, journal2, "cut {cut}");
             assert_eq!(lost.valid_bytes, 0, "cut {cut}");
-            assert_eq!(folded_payload(&recovered), mid, "cut {cut}");
-        } else {
-            assert!(report.lost.is_none(), "uncut journal");
-            assert_eq!(folded_payload(&recovered), full, "uncut journal");
+            assert_eq!(recovered.generation(), 3, "cut {cut}");
         }
     }
 }
@@ -369,13 +468,12 @@ fn flipping_bits_in_the_newest_checkpoint_never_goes_unnoticed() {
         for bit in 0..8 {
             reset_dir(dir.path(), &files);
             FaultFs::new().flip_bit(byte, bit).apply_to(&ckpt2).unwrap();
-            let (recovered, report) = CheckpointedMiner::recover(dir.path())
-                .unwrap_or_else(|e| panic!("byte {byte} bit {bit}: {e}"));
+            let label = format!("byte {byte} bit {bit}");
+            let (_, report) = recover_checked(dir.path(), &full, &label);
             if byte >= header_len as u64 {
-                assert_eq!(report.checkpoint_seq, 1, "byte {byte} bit {bit}");
+                assert_eq!(report.checkpoint_seq, 1, "{label}");
             }
-            assert!(report.lost.is_none(), "byte {byte} bit {bit}");
-            assert_eq!(folded_payload(&recovered), full, "byte {byte} bit {bit}");
+            assert!(report.lost.is_none(), "{label}");
         }
     }
 }
@@ -402,11 +500,13 @@ fn a_dropped_rename_leaves_the_previous_generation_authoritative() {
     let mut twin = config.streaming(TransactionDb::from_rows(rows[..6].to_vec()));
     twin.push_batch(rows[6..10].to_vec()).unwrap();
 
-    let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    // The temp file names no generation, so generation 1 is the newest
+    // and resumes, the temp file left as it was.
+    let (recovered, report) = recover_checked(dir.path(), &wire_of(&twin), "dropped rename");
     assert_eq!(report.checkpoint_seq, 1);
     assert!(report.lost.is_none());
     assert_eq!(report.batches_replayed, 1);
-    assert_eq!(folded_payload(&recovered), wire_of(&twin));
+    assert_eq!(recovered.generation(), 1);
 }
 
 #[test]
@@ -454,7 +554,7 @@ fn an_unknown_format_version_is_skipped_with_a_typed_reason() {
         ),
     )
     .unwrap();
-    let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    let (_, report) = recover_checked(dir.path(), &full, "unknown versions");
     assert_eq!(report.checkpoint_seq, 2);
     for version in ["format version 1,", "format version 9,"] {
         assert!(
@@ -464,7 +564,6 @@ fn an_unknown_format_version_is_skipped_with_a_typed_reason() {
         );
     }
     assert!(report.lost.is_none());
-    assert_eq!(folded_payload(&recovered), full);
 }
 
 #[test]
@@ -706,11 +805,10 @@ fn a_window_change_survives_a_fallback_past_the_checkpoint_after_it() {
     assert_eq!(twin.n_objects(), 4);
 
     corrupt_checkpoint(dir.path(), newest);
-    let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    let (recovered, report) = recover_checked(dir.path(), &wire_of(&twin), "window fallback");
     assert_eq!(report.skipped.len(), 1, "{:?}", report.skipped);
     assert!(report.lost.is_none(), "{:?}", report.lost);
     assert_eq!(recovered.session().window_config(), Window::Ttl(1));
-    assert_eq!(folded_payload(&recovered), wire_of(&twin));
 }
 
 #[test]
@@ -721,18 +819,16 @@ fn a_recovery_past_a_rejected_checkpoint_keeps_the_restored_one_as_fallback() {
     // to restore the same session.
     let (dir, _files, _mid, full) = two_generation_fixture();
     corrupt_checkpoint(dir.path(), 2);
-    let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    let (recovered, report) = recover_checked(dir.path(), &full, "first fallback");
     assert_eq!(report.checkpoint_seq, 1);
-    assert_eq!(folded_payload(&recovered), full);
     let fresh = recovered.generation();
     drop(recovered); // crash
 
     corrupt_checkpoint(dir.path(), fresh);
-    let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    let (_, report) = recover_checked(dir.path(), &full, "second fallback");
     assert_eq!(report.checkpoint_seq, 1);
     assert_eq!(report.skipped.len(), 2, "{:?}", report.skipped);
     assert!(report.lost.is_none(), "{:?}", report.lost);
-    assert_eq!(folded_payload(&recovered), full);
 }
 
 #[test]
@@ -765,14 +861,17 @@ fn open_resumes_an_existing_directory_and_ignores_the_seed() {
     let mut twin = config.streaming(TransactionDb::from_rows(rows[..6].to_vec()));
     twin.push_batch(rows[6..9].to_vec()).unwrap();
 
-    // Re-opening with a different (wrong) seed must recover, not reseed.
+    // Re-opening with a different (wrong) seed must recover, not reseed
+    // — and, the directory being clean, resume its generation.
+    let before = dir_files(dir.path());
     let (reopened, report) = config
         .checkpointing(TransactionDb::from_rows(rows[9..12].to_vec()), dir.path())
         .unwrap();
     let report = report.expect("an existing directory must recover");
     assert!(report.lost.is_none());
     assert_eq!(report.restore_engine_calls, 0);
-    assert_eq!(folded_payload(&reopened), wire_of(&twin));
+    check_recovery(&before, &reopened, &report, &wire_of(&twin), "reopen");
+    assert_eq!(reopened.generation(), 1);
 }
 
 #[test]
@@ -783,8 +882,53 @@ fn a_serving_session_snapshots_into_the_same_format() {
     let dir = TempDir::new("serve");
     let path = server.checkpoint(dir.path()).unwrap();
     assert_eq!(read_payload(&path), wire_of(server.miner()));
-    let (recovered, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    let (_, report) = recover_checked(dir.path(), &wire_of(server.miner()), "serving");
     assert!(report.lost.is_none());
     assert_eq!(report.restore_engine_calls, 0);
-    assert_eq!(folded_payload(&recovered), wire_of(server.miner()));
+}
+
+#[test]
+fn a_snapshot_directory_resumes_and_journals_into_its_own_generation() {
+    // A `write_snapshot` directory holds checkpoint 1 and no journal.
+    // Recovering it resumes generation 1; the first push creates
+    // journal 1, and a second crash replays both pushes from it.
+    let rows = census_rows(14);
+    let config = RuleMiner::new(MinSupport::Count(2)).min_confidence(0.5);
+    let mut twin = config.streaming(TransactionDb::from_rows(rows[..8].to_vec()));
+    let dir = TempDir::new("snapshot-resume");
+    write_snapshot(&twin, dir.path()).unwrap();
+    let journal = dir.path().join("journal-000001.log");
+
+    let (mut recovered, report) = recover_checked(dir.path(), &wire_of(&twin), "snapshot");
+    assert_eq!(report.checkpoint_seq, 1);
+    assert_eq!(report.batches_replayed, 0);
+    assert!(!journal.exists(), "a clean recovery creates no journal");
+    for (i, chunk) in [&rows[8..11], &rows[11..14]].into_iter().enumerate() {
+        let d1 = recovered.push_batch(chunk.to_vec()).unwrap();
+        let d2 = twin.push_batch(chunk.to_vec()).unwrap();
+        assert_same_delta(&d1, &d2, &format!("push {i} after the resume"));
+    }
+    assert_eq!(
+        (recovered.generation(), recovered.journal_batches()),
+        (1, 2)
+    );
+    assert_eq!(
+        recovered.journal_bytes(),
+        fs::metadata(&journal).unwrap().len()
+    );
+    drop(recovered); // crash
+
+    let (mut recovered, report) = recover_checked(dir.path(), &wire_of(&twin), "second crash");
+    assert_eq!(report.checkpoint_seq, 1);
+    assert!(report.lost.is_none(), "{:?}", report.lost);
+    assert_eq!(report.batches_replayed, 2);
+    assert_eq!(
+        report.journal_bytes_replayed,
+        fs::metadata(&journal).unwrap().len()
+    );
+    assert_same_bases(recovered.bases(), twin.bases(), "second crash");
+    let extra = census_rows(17).split_off(14);
+    let d1 = recovered.push_batch(extra.clone()).unwrap();
+    let d2 = twin.push_batch(extra).unwrap();
+    assert_same_delta(&d1, &d2, "push after the second crash");
 }
