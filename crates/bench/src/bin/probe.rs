@@ -16,7 +16,8 @@
 //! the `RULEBASES_ENGINE` / `RULEBASES_PIPELINE` environment variables
 //! (defaults `auto` and `staged`). With `--pipeline fused`, the cell runs
 //! the full fused bases pipeline instead of the bare closed miner and
-//! reports the lattice/bases shape plus the engine-call tally. With
+//! reports the lattice/bases shape, the engine-call tally and the threads
+//! the mine spawned (levels fan out only when their work pays). With
 //! `--stream`, the dataset is *replayed* in `--batch`-row appends (default
 //! 64) through `RuleMiner::streaming`, reporting per-replay movement
 //! totals and the engine calls the whole replay cost next to what one
@@ -69,7 +70,7 @@ use rulebases::{PipelineKind, RuleMiner, RuleReader, Window};
 use rulebases_bench::{
     drifting_census, engine_from_env, pipeline_from_env, project_top_items, Scale, StandIn,
 };
-use rulebases_dataset::pool::fan_out;
+use rulebases_dataset::pool::{fan_out, threads_spawned};
 use rulebases_dataset::{EngineKind, MinSupport, MiningContext, TransactionDb};
 use rulebases_mining::{Apriori, Close, ClosedMiner};
 use std::fmt::Display;
@@ -475,11 +476,13 @@ fn main() {
 
     if pipeline == PipelineKind::Fused {
         let minconf = 0.5;
+        let spawned_before = threads_spawned();
         let start = Instant::now();
         let bases = RuleMiner::new(MinSupport::Fraction(minsup))
             .min_confidence(minconf)
             .pipeline(pipeline)
             .mine_context(&ctx);
+        let spawned = threads_spawned() - spawned_before;
         println!(
             "|FC| = {} ({} Hasse edges, DG {} rules, Lux reduced {} rules \
              at minconf {minconf}, {:.1} ms)",
@@ -503,6 +506,7 @@ fn main() {
             stats.supports,
             stats.intents
         );
+        println!("threads spawned: {spawned}");
         return;
     }
 

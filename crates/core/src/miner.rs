@@ -80,7 +80,8 @@ impl RuleMiner {
     /// Sets the thread policy for the mining phases (levelwise candidate
     /// counting and closure fan-outs). `Off` forces the sequential
     /// paths; the default `Auto` honours `RULEBASES_THREADS` and the
-    /// machine's parallelism.
+    /// machine's parallelism, and fans a level only when its work pays
+    /// for the threads; `Fixed(n)` fans every level.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self

@@ -8,17 +8,23 @@ use crate::itemset::Itemset;
 use crate::support::Support;
 use crate::transaction::TransactionDb;
 use crate::vertical::VerticalDb;
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::sync::{Arc, OnceLock};
 
 /// Dense [`BitSet`] covers (today's [`VerticalDb`]) behind the
 /// [`SupportEngine`] interface.
 ///
-/// Support counting is word-wise `AND` + popcount; closure goes through
-/// merge-intersection of the extent's transactions, down to the
-/// generator floor. An all-pairs batch is counted in one pass over the
-/// rows when that costs less than `candidates × ⌈|O|/64⌉` words of cover
-/// intersections (see the [module docs](super)). The robust default for
-/// everything that is not extremely sparse or near-saturated.
+/// Support counting is word-wise `AND` + popcount. An intent `f(T)` takes
+/// whichever of two paths prices lower (see the [module docs](super)):
+/// testing `T ⊆ cover(i)` for the items whose support reaches `|T|`, at
+/// `⌈|O|/64⌉` words each, or merge-intersecting the rows of `T` down to
+/// the generator floor, at `|T| × L̄` entries at most. Extents of
+/// hundreds of rows over a few dozen items in use (census) take the cover
+/// tests; a few short rows under long covers keep the merge. An
+/// all-pairs batch is counted in one pass over the rows when that costs
+/// less than `candidates × ⌈|O|/64⌉` words of cover intersections. The
+/// robust default for everything that is not extremely sparse or
+/// near-saturated.
 ///
 /// Append batches extend the covers in place: each bitset widens by the
 /// appended rows and only the delta's bits are inserted (see
@@ -29,6 +35,11 @@ use std::sync::Arc;
 pub struct DenseEngine {
     vertical: VerticalDb,
     horizontal: Arc<TransactionDb>,
+    /// `(support, item)` over the universe, by descending support: an
+    /// extent of `n` objects can only lie in the covers of the prefix with
+    /// support `≥ n`. Counted from the covers by the first intent after
+    /// they move, so absorbing a delta costs nothing here.
+    ranked: OnceLock<Vec<(Support, Item)>>,
     epoch: u64,
     /// Row-storage bytes ingested by delta applications (delta-sized by
     /// construction: only the appended rows are read).
@@ -40,6 +51,7 @@ impl DenseEngine {
     pub fn from_horizontal(db: &Arc<TransactionDb>) -> Self {
         DenseEngine {
             vertical: VerticalDb::from_horizontal(db),
+            ranked: OnceLock::new(),
             horizontal: Arc::clone(db),
             epoch: db.epoch(),
             bytes_copied: 0,
@@ -63,6 +75,54 @@ impl DenseEngine {
             candidates.len() as f64 * self.n_objects().div_ceil(64) as f64
         })
     }
+
+    /// Whether the intent of `itemset`'s extent is found by cover tests
+    /// rather than by merging the extent's rows.
+    pub fn takes_cover_tests(&self, itemset: &Itemset) -> bool {
+        self.cover_tests(self.vertical.support(itemset) as usize)
+            .is_some()
+    }
+
+    /// The items an extent of `size` objects may lie under, when testing
+    /// their covers (`⌈|O|/64⌉` words each) prices below merging `size`
+    /// rows of mean length `L̄`; `None` when the merge is cheaper, which
+    /// it always is for an empty extent (it merges nothing).
+    fn cover_tests(&self, size: usize) -> Option<&[(Support, Item)]> {
+        let ranked = self.ranked.get_or_init(|| rank(&self.vertical));
+        let held = ranked.partition_point(|&(support, _)| support as usize >= size);
+        let covers = (held * self.n_objects().div_ceil(64)) as f64;
+        let rows = size as f64 * self.horizontal.avg_transaction_len();
+        (covers < rows).then(|| &ranked[..held])
+    }
+
+    /// The intent `f(T)` of the `size` objects of `extent`, the one
+    /// closure routine behind every intent query: cover tests or the row
+    /// merge, whichever prices lower. `floor` is the size of an itemset
+    /// whose extent this is (0 when none is known); only the merge reads
+    /// it. An empty extent yields the universe (through the merge).
+    fn intent(&self, extent: &BitSet, size: usize, floor: usize) -> Itemset {
+        let Some(held) = self.cover_tests(size) else {
+            return intent_of(&self.horizontal, extent.iter(), floor);
+        };
+        let mut items: Vec<Item> = held
+            .iter()
+            .map(|&(_, item)| item)
+            .filter(|&item| extent.is_subset_of(self.vertical.cover(item)))
+            .collect();
+        items.sort_unstable();
+        Itemset::from_sorted(items)
+    }
+}
+
+/// Every item with its support, by descending support.
+fn rank(vertical: &VerticalDb) -> Vec<(Support, Item)> {
+    let mut ranked: Vec<(Support, Item)> = vertical
+        .item_supports()
+        .into_iter()
+        .zip((0..).map(Item::new))
+        .collect();
+    ranked.sort_by_key(|&(support, _)| Reverse(support));
+    ranked
 }
 
 impl DeltaSupportEngine for DenseEngine {
@@ -77,6 +137,7 @@ impl DeltaSupportEngine for DenseEngine {
             // bytes_copied.
             TxDelta::Expire(expire) => self.vertical.expire_prefix(expire.rows()),
         }
+        self.ranked = OnceLock::new();
         self.horizontal = Arc::clone(delta.db_arc());
         self.epoch = delta.epoch();
         Ok(())
@@ -150,11 +211,9 @@ impl SupportEngine for DenseEngine {
         let pass = self.pair_pass(candidates);
         close_level(&self.horizontal, candidates, min_count, pass, |candidate| {
             let extent = self.vertical.extent(candidate);
-            let support = extent.count() as Support;
-            (support >= min_count).then(|| {
-                let floor = candidate.len();
-                (intent_of(&self.horizontal, extent.iter(), floor), support)
-            })
+            let size = extent.count();
+            (size as Support >= min_count)
+                .then(|| (self.intent(&extent, size, candidate.len()), size as Support))
         })
     }
 
@@ -163,16 +222,13 @@ impl SupportEngine for DenseEngine {
     }
 
     fn closure_of_tidset(&self, tidset: &BitSet) -> Itemset {
-        intent_of(&self.horizontal, tidset.iter(), 0)
+        self.intent(tidset, tidset.count(), 0)
     }
 
     fn closure_and_support(&self, itemset: &Itemset) -> (Itemset, Support) {
         let extent = self.vertical.extent(itemset);
-        let support = extent.count() as Support;
-        (
-            intent_of(&self.horizontal, extent.iter(), itemset.len()),
-            support,
-        )
+        let size = extent.count();
+        (self.intent(&extent, size, itemset.len()), size as Support)
     }
 
     fn cache_stats(&self) -> CacheStats {

@@ -59,6 +59,22 @@
 //!   stop there too; [`SupportEngine::closure_of_tidset`], which knows no
 //!   generator, visits every row of its tidset as before.
 //!
+//! # Intents on dense covers
+//!
+//! [`DenseEngine`] holds every item's cover, so it can also find an
+//! intent the other way round: `f(T) = {i : T ⊆ cover(i)}`, and only items
+//! whose support reaches `|T|` can pass. Each of its intents — in
+//! `close_candidates`, `closure_and_support` and `closure_of_tidset`
+//! alike — takes the cheaper of two paths, again a rule over the relation
+//! with no knob: the cover tests cost `(items with support ≥ |T|) ×
+//! ⌈|O|/64⌉` words, each test exiting at the first word group of `T`
+//! outside the cover; the row merge costs `|T| × L̄` entries at most. A
+//! census extent of hundreds of rows over a few dozen frequent items
+//! takes the cover tests; a small extent under long covers keeps the
+//! merge and its floor. The item supports are counted once per state of
+//! the covers, by the first intent after [`DeltaSupportEngine::apply_delta`]
+//! moves them, never per candidate. [`TidListEngine`] always merges rows.
+//!
 //! # Streaming
 //!
 //! Every backend is *delta-aware*, in both directions: when transactions
@@ -184,9 +200,9 @@ pub trait SupportEngine: fmt::Debug + Send + Sync {
         self.closure_and_support(itemset).0
     }
 
-    /// Closure and support in one pass over the extent. The backends
-    /// stop merging rows at the generator floor `|X|` (see the module
-    /// docs).
+    /// Closure and support in one pass over the extent. A row merge
+    /// stops at the generator floor `|X|`; dense covers may answer by
+    /// cover tests instead (see the module docs).
     fn closure_and_support(&self, itemset: &Itemset) -> (Itemset, Support) {
         let tidset = self.tidset_of(itemset);
         let support = tidset.count() as Support;
@@ -207,8 +223,8 @@ pub trait SupportEngine: fmt::Debug + Send + Sync {
     /// candidate, kept at `min_count` (see the consistency contract
     /// above), but answered as one batch: an all-pairs level is counted in
     /// one pass over the rows when that is cheaper, so extents are built
-    /// for its frequent pairs only, and every intent stops at its
-    /// candidate's size (see the module docs).
+    /// for its frequent pairs only, and every intent merged from rows
+    /// stops at its candidate's size (see the module docs).
     fn close_candidates<'c>(
         &self,
         candidates: &'c [Itemset],
@@ -225,17 +241,18 @@ pub trait SupportEngine: fmt::Debug + Send + Sync {
 }
 
 /// Computes the intent of the objects `tids` (ascending) by
-/// merge-intersecting their horizontal transactions — the closure path
-/// shared by every backend.
+/// merge-intersecting their horizontal transactions — the tid-list
+/// backend's only closure path, and the dense backend's whenever it
+/// prices below cover tests (see the module docs).
 ///
 /// `floor` is the size of the itemset `X` whose extent `tids` is, or 0 for
 /// an arbitrary object set. Every row of `g(X)` contains `X`, so the
 /// intent never shrinks below `|X|`, and once it is down to `|X|` items it
 /// *is* `X`: the merge stops there instead of visiting every row (the
 /// generator floor). An empty `tids` yields the universe whatever the
-/// floor. Cost is `O(|T| · avg|t|)` at most, which beats per-item cover
-/// subset tests whenever extents are small (the common case once mining
-/// is below the first levels).
+/// floor. Cost is `|T| · L̄` row entries at most (`L̄` the mean row
+/// length); on dense extents of hundreds of rows the floor rarely stops
+/// it early.
 pub(crate) fn intent_of(
     db: &TransactionDb,
     tids: impl IntoIterator<Item = usize>,

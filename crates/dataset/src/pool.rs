@@ -1,9 +1,9 @@
 //! Shared scoped-thread fan-out and the [`Parallelism`] configuration.
 //!
 //! Every parallel construction in the workspace goes through this one
-//! module: the levelwise miners fan each wide candidate level over
-//! chunks, parallel batch counting fans a candidate level the same way,
-//! and the bench crate runs independent experiment cells side by side
+//! module: the levelwise miners fan a candidate level over chunks when
+//! its work pays, parallel batch counting fans a candidate level the same
+//! way, and the bench crate runs independent experiment cells side by side
 //! (it re-exports this module as `rulebases_bench::parallel`). Engines
 //! never spawn, so a fanned level holds exactly its chunk threads and
 //! nothing nests.
@@ -32,12 +32,15 @@ pub const THREADS_ENV: &str = "RULEBASES_THREADS";
 /// How many worker threads a parallel construction may use.
 ///
 /// `Auto` is the default everywhere: it honours [`THREADS_ENV`] when set
-/// and otherwise uses the machine's available parallelism. `Off` forces
-/// the sequential code path (useful for clean wall-clock timing), and
-/// `Fixed(n)` pins an exact fan-out degree — unlike `Auto`, a `Fixed`
-/// request is honoured even when the workload looks too small to bother,
-/// which is what the equivalence tests use to force the threaded paths
-/// on tiny contexts.
+/// and otherwise uses the machine's available parallelism, and the
+/// levelwise miners fan a level under it only when the level's work pays
+/// for the threads (`rulebases_mining::counting::PARALLEL_MIN_WORDS`).
+/// `Off` forces the sequential code path (useful for clean wall-clock
+/// timing), and `Fixed(n)` pins an exact fan-out degree — unlike `Auto`,
+/// a `Fixed` request is honoured even when the workload looks too small
+/// to bother: every level of at least two candidates fans, which is what
+/// the equivalence tests use to force the threaded paths on tiny
+/// contexts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Parallelism {
     /// `RULEBASES_THREADS` if set, else the machine's available

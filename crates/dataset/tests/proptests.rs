@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use rulebases_dataset::engine::{DenseEngine, TidListEngine};
 use rulebases_dataset::io::{read_dat, write_dat};
 use rulebases_dataset::{
-    BitSet, CachedEngine, DeltaSupportEngine, EngineKind, Itemset, MiningContext, SupportEngine,
-    TransactionDb, TxDelta,
+    BitSet, CachedEngine, DeltaSupportEngine, EngineKind, Item, Itemset, MiningContext,
+    SupportEngine, TransactionDb, TxDelta,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -563,19 +563,40 @@ fn universe_growth_rewrites_no_segment() {
     }
 }
 
-/// `close_candidates` as the consistency contract spells it out:
-/// `tidset_of` → `count` → `closure_of_tidset`, kept at `min_count`.
+/// The rows of `db` holding every item of `x`, by a scan of the rows.
+fn scan_extent(db: &TransactionDb, x: &Itemset) -> BitSet {
+    BitSet::from_indices(
+        db.n_transactions(),
+        db.iter()
+            .enumerate()
+            .filter(|(_, row)| x.iter().all(|item| row.contains(&item)))
+            .map(|(t, _)| t),
+    )
+}
+
+/// The items every row of `tids` holds, by a scan of the rows: the
+/// universe for no rows.
+fn scan_intent(db: &TransactionDb, tids: &BitSet) -> Itemset {
+    Itemset::from_ids((0..db.n_items() as u32).filter(|&id| {
+        tids.iter()
+            .all(|t| db.transaction(t).contains(&Item::new(id)))
+    }))
+}
+
+/// `close_candidates` as the consistency contract spells it out, with no
+/// engine: the extent, its size and its intent per candidate, kept at
+/// `min_count`.
 fn close_reference<'c>(
-    engine: &dyn SupportEngine,
+    db: &TransactionDb,
     candidates: &'c [Itemset],
     min_count: u64,
 ) -> Vec<(&'c Itemset, Itemset, u64)> {
     candidates
         .iter()
         .filter_map(|c| {
-            let extent = engine.tidset_of(c);
+            let extent = scan_extent(db, c);
             let support = extent.count() as u64;
-            (support >= min_count).then(|| (c, engine.closure_of_tidset(&extent), support))
+            (support >= min_count).then(|| (c, scan_intent(db, &extent), support))
         })
         .collect()
 }
@@ -598,15 +619,18 @@ proptest! {
         extras in vec(vec(0u32..30, 0..4), 0..8),
         threshold in 0u64..6,
     ) {
-        // Both sides of the pair-pass rule, on both backends. Sparse
-        // side: many short rows (some empty) and the full pair level over
-        // 24 items plus a pair past the universe — both backends count it
-        // in one pass. Dense side: few long rows, each the 12-item
-        // universe minus at most two items — dense bitsets keep the
-        // per-candidate path on the full pair level, tid-lists on a
-        // narrow one. Mixed batches (∅, singletons, triples, items past
-        // the universe) and the empty batch never take the pass.
-        // Thresholds run from 0 to past |O|.
+        // Both sides of the pair-pass rule and of the dense closure rule,
+        // on both backends, against a scan of the rows. Sparse side: many
+        // short rows (some empty) and the full pair level over 24 items
+        // plus a pair past the universe — both backends count it in one
+        // pass, and dense bitsets merge the rows of every pair's extent.
+        // Dense side: few long rows, each the 12-item universe minus at
+        // most two items — dense bitsets keep the per-candidate path on
+        // the full pair level, tid-lists on a narrow one, and dense
+        // bitsets close every extent of two rows or more by cover tests.
+        // Mixed batches (∅, singletons, triples, items past the universe)
+        // and the empty batch never take the pass. Thresholds run from 0
+        // to past |O|.
         let sparse = Arc::new(TransactionDb::from_rows(short_rows));
         let dense = Arc::new(TransactionDb::from_rows(
             drops
@@ -625,19 +649,35 @@ proptest! {
         prop_assert!(!DenseEngine::from_horizontal(&dense).takes_pair_pass(&all_pairs(12)));
         prop_assert!(!TidListEngine::from_horizontal(&dense).takes_pair_pass(&narrow));
         prop_assert!(!DenseEngine::from_horizontal(&sparse).takes_pair_pass(&mixed));
+        let by_rows = DenseEngine::from_horizontal(&sparse);
+        for pair in wide.iter().filter(|pair| by_rows.support(pair) > 0) {
+            prop_assert!(!by_rows.takes_cover_tests(pair), "{:?} by covers", pair);
+        }
+        let by_covers = DenseEngine::from_horizontal(&dense);
+        prop_assert!(by_covers.takes_cover_tests(&Itemset::empty()));
+        for pair in all_pairs(12).iter().filter(|pair| by_covers.support(pair) >= 2) {
+            prop_assert!(by_covers.takes_cover_tests(pair), "{:?} by rows", pair);
+        }
 
         let cases = [
             (&sparse, vec![wide, mixed.clone(), Vec::new()]),
             (&dense, vec![all_pairs(12), narrow, mixed]),
         ];
         for (db, batches) in cases {
-            let n = db.n_transactions() as u64;
+            let n = db.n_transactions();
+            let universe = Itemset::universe(db.n_items());
             for kind in EngineKind::BACKENDS {
                 let engine = kind.build(db);
                 let cached = CachedEngine::new(kind.build(db));
+                prop_assert_eq!(engine.closure_of_tidset(&BitSet::new(n)), universe.clone());
+                prop_assert_eq!(
+                    engine.closure_of_tidset(&BitSet::full(n)),
+                    scan_intent(db, &BitSet::full(n)),
+                    "{} intent of every row", kind
+                );
                 for batch in &batches {
-                    for min_count in [0, threshold, n / 4, n + 1] {
-                        let expected = close_reference(&*engine, batch, min_count);
+                    for min_count in [0, threshold, n as u64 / 4, n as u64 + 1] {
+                        let expected = close_reference(db, batch, min_count);
                         prop_assert_eq!(
                             &engine.close_candidates(batch, min_count), &expected,
                             "{} at {}", kind, min_count
@@ -645,6 +685,19 @@ proptest! {
                         prop_assert_eq!(
                             &cached.close_candidates(batch, min_count), &expected,
                             "cached {} at {}", kind, min_count
+                        );
+                    }
+                    for c in batch {
+                        let extent = scan_extent(db, c);
+                        let closure = scan_intent(db, &extent);
+                        let support = extent.count() as u64;
+                        prop_assert_eq!(
+                            engine.closure_and_support(c), (closure.clone(), support),
+                            "{} closure of {:?}", kind, c
+                        );
+                        prop_assert_eq!(
+                            engine.closure_of_tidset(&extent), closure,
+                            "{} intent of the extent of {:?}", kind, c
                         );
                     }
                     let pointwise: Vec<u64> = batch.iter().map(|c| engine.support(c)).collect();

@@ -81,14 +81,14 @@ impl AClose {
         let mut stats = generators.stats;
 
         // Phase 2: close every generator. One extra conceptual pass;
-        // closures are independent, so wide generator sets fan over
-        // chunks (results stay in generator order — emission stays
-        // deterministic), on every engine: closures run on the calling
-        // thread, so the phase spawns once per chunk.
+        // closures are independent, so generator sets priced above the
+        // thread budget fan over chunks (results stay in generator order
+        // — emission stays deterministic), on every engine: closures run
+        // on the calling thread, so the phase spawns once per chunk.
         stats.db_passes += 1;
         let close_one = |(g, support): &(&Itemset, Support)| (engine.closure(g), *support);
         let gens: Vec<(&Itemset, Support)> = generators.iter().collect();
-        let pairs: Vec<(Itemset, Support)> = map_level(self.parallelism, &gens, |chunk| {
+        let pairs: Vec<(Itemset, Support)> = map_level(self.parallelism, n, &gens, |chunk| {
             chunk.iter().map(close_one).collect()
         });
         for ((generator, _), (closure, support)) in gens.iter().zip(&pairs) {

@@ -18,8 +18,11 @@
 //! choice: on a pair level
 //! over many short rows it counts every pair in one pass over the rows
 //! and builds extents for the frequent pairs alone, elsewhere it
-//! intersects one extent per candidate; either way each closure stops
-//! merging rows once it is down to its generator (`h(X) ⊇ X`).
+//! intersects one extent per candidate. A closure merged from rows stops
+//! once it is down to its generator (`h(X) ⊇ X`); dense covers close a
+//! large extent by testing it against the frequent items' covers instead.
+//! A level fans over threads only when its work pays (see
+//! [`map_level`]).
 
 use crate::candidates::join_and_prune;
 use crate::counting::map_level;
@@ -105,17 +108,17 @@ impl Close {
         // frequent generators and drops every candidate inside one of its
         // facets' closures — it has that facet's closure, already
         // recorded. Each level is one batch query per chunk: chunks fan
-        // over threads on wide levels (engines never spawn, so the level
-        // spawns once per chunk), and the merge below runs sequentially
-        // in candidate order, keeping the output deterministic whatever
-        // the thread policy.
+        // over threads when the level prices above the thread budget
+        // (engines never spawn, so the level spawns once per chunk), and
+        // the merge below runs sequentially in candidate order, keeping
+        // the output deterministic whatever the thread policy.
         let mut candidates: Vec<Itemset> = (0..engine.n_items() as u32)
             .map(|i| Itemset::from_ids([i]))
             .collect();
         loop {
             stats.db_passes += 1;
             stats.candidates_counted += candidates.len();
-            let closed = map_level(self.parallelism, &candidates, |chunk| {
+            let closed = map_level(self.parallelism, n, &candidates, |chunk| {
                 engine.close_candidates(chunk, min_count)
             });
             let mut generators = Vec::with_capacity(closed.len());

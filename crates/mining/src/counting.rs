@@ -19,7 +19,8 @@
 //!   of the level, and the per-chunk counts concatenate back in
 //!   candidate order.
 //! * [`CountingStrategy::Auto`] picks per level based on transaction
-//!   length, `k`, the level width, and the configured [`Parallelism`].
+//!   length, `k`, the level's price (see [`PARALLEL_MIN_WORDS`]), and the
+//!   configured [`Parallelism`].
 //!
 //! [`SupportEngine`]: rulebases_dataset::SupportEngine
 //! [`SupportEngine::count_candidates`]: rulebases_dataset::SupportEngine::count_candidates
@@ -30,10 +31,30 @@ use rulebases_dataset::pool::parallel_chunks;
 use rulebases_dataset::{Item, Itemset, MiningContext, Parallelism, Support};
 use std::collections::HashMap;
 
-/// Minimum candidates in a level before a parallel path fans out — under
-/// this, thread start-up costs more than the counting itself. Shared by
-/// the levelwise closed miners.
-pub const PARALLEL_MIN_CANDIDATES: usize = 64;
+/// The work, in 64-bit words, a candidate level must price above before
+/// [`Parallelism::Auto`] fans it over threads. A level of `c` candidates
+/// over `|O|` objects prices at `c × ⌈|O|/64⌉` words, one dense cover per
+/// candidate (the unit of the engines' pair-pass rule). Below the budget
+/// the threads cost more than they save, and on a small box they run
+/// beside whatever else is busy: fanning every level of a 2,000-row
+/// census mine (levels of at most about 8·10³ words) made it about 1 ms
+/// slower on two CPUs, while a 100,000-row basket mine's levels (about
+/// 1.5·10⁶ and 1.7·10⁸ words) stay fanned. Shared by the levelwise
+/// miners' level steps and Apriori's `Auto` counting.
+pub const PARALLEL_MIN_WORDS: u64 = 1 << 18;
+
+/// The threads a level of `candidates` over `n_objects` objects fans
+/// over: `Auto`'s count once the level prices above
+/// [`PARALLEL_MIN_WORDS`] and one below, `Fixed(n)` its `n` whatever the
+/// level (the equivalence tests force the threaded paths on tiny
+/// contexts with it), `Off` one.
+fn level_threads(parallelism: Parallelism, candidates: usize, n_objects: usize) -> usize {
+    let price = candidates as u64 * n_objects.div_ceil(64) as u64;
+    match parallelism {
+        Parallelism::Auto if price <= PARALLEL_MIN_WORDS => 1,
+        _ => parallelism.threads(),
+    }
+}
 
 /// Which engine counts candidate supports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,7 +103,7 @@ pub fn count_candidates_with(
     debug_assert!(candidates.iter().all(|c| c.len() == k));
     match strategy {
         CountingStrategy::Auto => {
-            if parallelism.threads() > 1 && candidates.len() >= PARALLEL_MIN_CANDIDATES {
+            if level_threads(parallelism, candidates.len(), ctx.n_objects()) > 1 {
                 return count_parallel(ctx, candidates, parallelism);
             }
             // Subset enumeration costs ~C(avg_len, k) per transaction;
@@ -106,31 +127,33 @@ fn count_vertical(ctx: &MiningContext, candidates: &[Itemset]) -> Vec<Support> {
     ctx.engine().count_candidates(candidates)
 }
 
-/// Runs `f` over one candidate level (or generator set) in chunks: the
-/// chunks fan across threads when the policy grants more than one and the
-/// level is at least [`PARALLEL_MIN_CANDIDATES`] wide, and otherwise `f`
-/// sees the whole level in one call. `f` answers a chunk in item order —
-/// typically through one batch engine query, such as
-/// [`SupportEngine::close_candidates`] for Close's level step, whose
-/// answers borrow the chunk's frequent candidates. Engines never spawn, so
-/// a fanned level spawns once and nothing spawns inside a chunk. Results
-/// come back in input order, so the sequential and fanned paths are
-/// interchangeable — this one guard is shared by Close's level step and
-/// A-Close's closure phase.
+/// Runs `f` over one candidate level (or generator set) of a context of
+/// `n_objects` objects in chunks: under [`Parallelism::Auto`] the chunks
+/// fan across threads only when the level prices above
+/// [`PARALLEL_MIN_WORDS`], under `Fixed(n)` every level of at least two
+/// items fans, and otherwise `f` sees the whole level in one call. `f`
+/// answers a chunk in item order — typically through one batch engine
+/// query, such as [`SupportEngine::close_candidates`] for Close's level
+/// step, whose answers borrow the chunk's frequent candidates. Engines
+/// never spawn, so a fanned level spawns once and nothing spawns inside a
+/// chunk. Results come back in input order, so the sequential and fanned
+/// paths are interchangeable — this one guard is shared by Close's level
+/// step and A-Close's closure phase.
 ///
 /// [`SupportEngine::close_candidates`]: rulebases_dataset::SupportEngine::close_candidates
-pub fn map_level<'a, T, R, F>(parallelism: Parallelism, items: &'a [T], f: F) -> Vec<R>
+pub fn map_level<'a, T, R, F>(
+    parallelism: Parallelism,
+    n_objects: usize,
+    items: &'a [T],
+    f: F,
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&'a [T]) -> Vec<R> + Sync,
 {
-    let threads = parallelism.threads();
-    if threads > 1 && items.len() >= PARALLEL_MIN_CANDIDATES {
-        parallel_chunks(items, threads, f)
-    } else {
-        f(items)
-    }
+    let threads = level_threads(parallelism, items.len(), n_objects);
+    parallel_chunks(items, threads, f)
 }
 
 /// Fans the level over candidate chunks, each batch-counted by the

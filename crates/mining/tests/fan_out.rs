@@ -1,7 +1,8 @@
-//! Regression pin on the mining thread model: Close fans each wide
-//! candidate level over chunks, and the engine answers each chunk's
-//! batch query on the calling thread — so a mine spawns a bounded number
-//! of threads per level, never a number per engine call.
+//! Regression pin on the mining thread model: Close fans a candidate
+//! level over chunks (every level, under `Fixed(2)`), and the engine
+//! answers each chunk's batch query on the calling thread — so a mine
+//! spawns a bounded number of threads per level, never a number per
+//! engine call. `thread_policy.rs` pins which levels fan.
 //!
 //! The spawn tally (`pool::threads_spawned`) is process-wide, so this
 //! binary holds exactly one test: nothing else can spawn while it reads
