@@ -52,11 +52,14 @@ impl LuxenburgerBasis {
         assert!((0.0..=1.0).contains(&min_confidence));
         let sets: Vec<(&Itemset, u64)> = fc.iter().collect();
         let mut rules = Vec::new();
-        for (i, (c1, s1)) in sets.iter().enumerate() {
-            if c1.is_empty() && !include_empty_antecedent {
-                continue;
-            }
-            for (c2, s2) in sets.iter().skip(i + 1) {
+        // The rule of `C1 ⊂ C2` spans `C2`, and `FC` is in canonical
+        // order with every proper subset ahead of its supersets, so taking
+        // the pairs by `C2`, then by `C1`, yields the canonical rule order.
+        for (j, (c2, s2)) in sets.iter().enumerate() {
+            for (c1, s1) in &sets[..j] {
+                if c1.is_empty() && !include_empty_antecedent {
+                    continue;
+                }
                 if !c1.is_proper_subset_of(c2) {
                     continue;
                 }
@@ -69,50 +72,64 @@ impl LuxenburgerBasis {
                 rules.push(Rule::new((*c1).clone(), c2.difference(c1), *s2, *s1));
             }
         }
-        rules.sort();
-        LuxenburgerBasis {
-            rules,
-            min_confidence,
-            reduced: false,
-        }
+        Self::from_sorted_rules(rules, min_confidence, false)
     }
 
     /// Builds the **full** basis from an already-constructed iceberg
     /// lattice: reachability along Hasse edges *is* the strict subset
-    /// order over `FC`, so walking the transitive closure enumerates
-    /// exactly the comparable pairs [`LuxenburgerBasis::full`] finds by
-    /// pairwise subset tests — without re-deriving the order the lattice
-    /// already holds. This is the fused pipeline's path to the full
-    /// basis.
+    /// order over `FC`, so walking down from each node enumerates exactly
+    /// the comparable pairs [`LuxenburgerBasis::full`] finds by pairwise
+    /// subset tests — without re-deriving the order the lattice already
+    /// holds. This is the fused pipeline's path to the full basis.
+    ///
+    /// The nodes are in canonical order, so taking the pairs by upper
+    /// node, then by lower node, yields the canonical rule order and
+    /// nothing is sorted but each node's lower indices. The walk below a
+    /// node stops at any node whose support already fails the
+    /// confidence threshold: everything under it has more support still.
     pub fn full_from_lattice(
         lattice: &IcebergLattice,
         min_confidence: f64,
         include_empty_antecedent: bool,
     ) -> Self {
         assert!((0.0..=1.0).contains(&min_confidence));
+        let n = lattice.n_nodes();
         let mut rules = Vec::new();
-        for (i, j) in lattice.comparable_pairs() {
-            let (c1, s1) = lattice.node(i);
+        // `seen[v] == j` ⇔ node `v` was reached in the walk below `j`.
+        let mut seen = vec![usize::MAX; n];
+        let (mut below, mut stack) = (Vec::new(), Vec::new());
+        for j in 0..n {
             let (c2, s2) = lattice.node(j);
-            if c1.is_empty() && !include_empty_antecedent {
-                continue;
+            below.clear();
+            stack.extend_from_slice(lattice.lower_covers(j));
+            while let Some(i) = stack.pop() {
+                if seen[i] == j {
+                    continue;
+                }
+                seen[i] = j;
+                let (_, s1) = lattice.node(i);
+                debug_assert!(s2 < s1);
+                if (s2 as f64) < min_confidence * s1 as f64 {
+                    continue;
+                }
+                below.push(i);
+                stack.extend_from_slice(lattice.lower_covers(i));
             }
-            debug_assert!(s2 < s1);
-            if (s2 as f64) < min_confidence * s1 as f64 {
-                continue;
+            below.sort_unstable();
+            for &i in &below {
+                let (c1, s1) = lattice.node(i);
+                if c1.is_empty() && !include_empty_antecedent {
+                    continue;
+                }
+                rules.push(Rule::new(c1.clone(), c2.difference(c1), s2, s1));
             }
-            rules.push(Rule::new(c1.clone(), c2.difference(c1), s2, s1));
         }
-        rules.sort();
-        LuxenburgerBasis {
-            rules,
-            min_confidence,
-            reduced: false,
-        }
+        Self::from_sorted_rules(rules, min_confidence, false)
     }
 
     /// Builds the **transitive reduction**: one rule per Hasse edge of the
-    /// iceberg lattice with confidence ≥ `min_confidence`.
+    /// iceberg lattice with confidence ≥ `min_confidence`, taken by upper
+    /// node, then by lower node — the canonical rule order, unsorted.
     pub fn reduced(
         lattice: &IcebergLattice,
         min_confidence: f64,
@@ -120,30 +137,28 @@ impl LuxenburgerBasis {
     ) -> Self {
         assert!((0.0..=1.0).contains(&min_confidence));
         let mut rules = Vec::new();
-        for (i, j) in lattice.edges() {
-            let (c1, s1) = lattice.node(i);
+        for j in 0..lattice.n_nodes() {
             let (c2, s2) = lattice.node(j);
-            if c1.is_empty() && !include_empty_antecedent {
-                continue;
+            for &i in lattice.lower_covers(j) {
+                let (c1, s1) = lattice.node(i);
+                if c1.is_empty() && !include_empty_antecedent {
+                    continue;
+                }
+                if (s2 as f64) < min_confidence * s1 as f64 {
+                    continue;
+                }
+                rules.push(Rule::new(c1.clone(), c2.difference(c1), s2, s1));
             }
-            if (s2 as f64) < min_confidence * s1 as f64 {
-                continue;
-            }
-            rules.push(Rule::new(c1.clone(), c2.difference(c1), s2, s1));
         }
-        rules.sort();
-        LuxenburgerBasis {
-            rules,
-            min_confidence,
-            reduced: true,
-        }
+        Self::from_sorted_rules(rules, min_confidence, true)
     }
 
     /// Wraps an already-derived rule list (canonical order) as a basis —
-    /// the constructor the streaming maintenance uses, where the rules
-    /// come from an incrementally patched map rather than a lattice walk.
+    /// the constructor every builder above ends in, and the one the
+    /// streaming maintenance uses, where the rules come from an
+    /// incrementally patched map rather than a lattice walk.
     pub(crate) fn from_sorted_rules(rules: Vec<Rule>, min_confidence: f64, reduced: bool) -> Self {
-        debug_assert!(rules.windows(2).all(|w| w[0] <= w[1]), "rules not sorted");
+        debug_assert!(rules.windows(2).all(|w| w[0] < w[1]), "rules not sorted");
         LuxenburgerBasis {
             rules,
             min_confidence,

@@ -6,7 +6,7 @@
 //! **approximate**. Supports are stored as exact counts so equality and
 //! ordering never suffer floating-point noise; confidence is derived.
 
-use rulebases_dataset::{ItemDictionary, Itemset, Support};
+use rulebases_dataset::{Item, ItemDictionary, Itemset, Support};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
@@ -86,9 +86,25 @@ impl Rule {
     }
 
     /// Canonical ordering key: by spanned itemset, then antecedent — gives
-    /// deterministic rule lists.
+    /// deterministic rule lists. [`Ord`] for `Rule` orders by this key
+    /// without building it; only rules with equal keys (the same two
+    /// sides) are ordered further, by their counts.
     pub fn sort_key(&self) -> (Itemset, Itemset) {
         (self.full_itemset(), self.antecedent.clone())
+    }
+
+    /// The spanned itemset `X ∪ Z` in ascending order, merged from the
+    /// two (disjoint) sides without allocating.
+    fn spanned(&self) -> impl Iterator<Item = Item> + '_ {
+        let (mut a, mut z) = (
+            self.antecedent.iter().peekable(),
+            self.consequent.iter().peekable(),
+        );
+        std::iter::from_fn(move || match (a.peek(), z.peek()) {
+            (Some(x), Some(y)) if x <= y => a.next(),
+            (_, Some(_)) => z.next(),
+            _ => a.next(),
+        })
     }
 }
 
@@ -98,11 +114,21 @@ impl PartialOrd for Rule {
     }
 }
 
+/// The canonical rule order, [`Rule::sort_key`]'s: by spanned itemset
+/// (its size, then its items), then by antecedent, then by the counts
+/// `(support, antecedent_support)`, so that `Equal` means `==`. Merges
+/// the sides item by item instead of building the union.
 impl Ord for Rule {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.full_itemset()
-            .cmp(&other.full_itemset())
+        let len = |r: &Rule| r.antecedent.len() + r.consequent.len();
+        len(self)
+            .cmp(&len(other))
+            .then_with(|| self.spanned().cmp(other.spanned()))
             .then_with(|| self.antecedent.cmp(&other.antecedent))
+            .then_with(|| {
+                (self.support, self.antecedent_support)
+                    .cmp(&(other.support, other.antecedent_support))
+            })
     }
 }
 
@@ -141,9 +167,42 @@ impl fmt::Display for RuleDisplay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn set(ids: &[u32]) -> Itemset {
         Itemset::from_ids(ids.iter().copied())
+    }
+
+    /// Random rules over three items with small counts, so that two draws
+    /// often span the same set or even share both sides.
+    fn rules() -> impl Strategy<Value = Option<Rule>> {
+        (vec(0u32..3, 1..5), vec(0u32..3, 0..3), (1u64..4, 0u64..2)).prop_map(
+            |(span, antecedent, (support, extra))| {
+                let span = Itemset::from_ids(span);
+                let antecedent = span.intersection(&Itemset::from_ids(antecedent));
+                let consequent = span.difference(&antecedent);
+                (!consequent.is_empty())
+                    .then(|| Rule::new(antecedent, consequent, support, support + extra))
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn ord_follows_the_sort_key_and_equal_means_eq(a in rules(), b in rules()) {
+            let (Some(a), Some(b)) = (a, b) else {
+                return Ok(());
+            };
+            let by_key = a.sort_key().cmp(&b.sort_key());
+            if by_key != Ordering::Equal {
+                prop_assert_eq!(a.cmp(&b), by_key, "{} vs {}", a, b);
+            }
+            prop_assert_eq!(a.cmp(&b) == Ordering::Equal, a == b, "{} vs {}", a, b);
+            prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+        }
     }
 
     #[test]

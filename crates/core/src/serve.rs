@@ -90,12 +90,13 @@ fn confidence_cmp(a: &Rule, b: &Rule) -> Ordering {
 }
 
 /// Serving score order: confidence descending, then support descending,
-/// then the canonical `(full itemset, antecedent)` key ascending so ties
-/// are broken deterministically.
+/// then the canonical rule order ascending (the `(full itemset,
+/// antecedent)` key, compared without building it) so ties are broken
+/// deterministically.
 fn score_cmp(a: &Rule, b: &Rule) -> Ordering {
     confidence_cmp(b, a)
         .then_with(|| b.support.cmp(&a.support))
-        .then_with(|| a.sort_key().cmp(&b.sort_key()))
+        .then_with(|| a.cmp(b))
 }
 
 /// The per-query cost counters a snapshot-level match reports.

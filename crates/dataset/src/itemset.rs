@@ -10,6 +10,7 @@
 
 use crate::item::{Item, ItemDictionary};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -405,6 +406,17 @@ impl<'a> IntoIterator for &'a Itemset {
     }
 }
 
+/// Lets a hash map keyed by itemsets be probed with a sorted item slice
+/// (say, a reused buffer) without allocating an [`Itemset`] per lookup:
+/// `Hash` and `Eq` agree with the slice's. `Ord` does not — itemsets
+/// order by length first — so never probe an ordered map this way.
+impl Borrow<[Item]> for Itemset {
+    #[inline]
+    fn borrow(&self) -> &[Item] {
+        &self.items
+    }
+}
+
 /// Orders itemsets by length, then lexicographically — a convenient stable
 /// order for reports and deterministic output.
 impl PartialOrd for Itemset {
@@ -587,6 +599,16 @@ mod tests {
             v,
             vec![Itemset::empty(), set(&[9]), set(&[1, 5]), set(&[2, 3])]
         );
+    }
+
+    #[test]
+    fn a_hash_map_of_itemsets_is_probed_by_slice() {
+        let map: std::collections::HashMap<Itemset, u64> =
+            [(set(&[1, 4]), 7), (Itemset::empty(), 9)].into();
+        let buf = [Item(1), Item(4)];
+        assert_eq!(map.get(&buf[..]), Some(&7));
+        assert_eq!(map.get(&buf[..0]), Some(&9));
+        assert_eq!(map.get(&buf[..1]), None);
     }
 
     #[test]

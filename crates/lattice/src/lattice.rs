@@ -93,7 +93,8 @@ impl IcebergLattice {
         &self.upper[i]
     }
 
-    /// Indices of the immediate predecessors (lower covers) of node `i`.
+    /// Indices of the immediate predecessors (lower covers) of node `i`,
+    /// ascending.
     pub fn lower_covers(&self, i: usize) -> &[usize] {
         &self.lower[i]
     }

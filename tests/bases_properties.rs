@@ -107,6 +107,16 @@ proptest! {
             for rule in reduced.rules() {
                 prop_assert!(full.rules().contains(rule));
             }
+            // The builders emit in canonical order and sort nothing: each
+            // list must be strictly ascending by the canonical key.
+            let from_lattice = LuxenburgerBasis::full_from_lattice(&lattice, conf, true);
+            prop_assert!(
+                [&full, &from_lattice, &reduced].iter().all(|basis| basis
+                    .rules()
+                    .windows(2)
+                    .all(|w| w[0].sort_key() < w[1].sort_key())),
+                "a Luxenburger basis is out of canonical order at conf {}", conf
+            );
         }
     }
 
