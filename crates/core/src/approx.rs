@@ -185,6 +185,11 @@ impl LuxenburgerBasis {
     pub fn iter(&self) -> impl Iterator<Item = &Rule> {
         self.rules.iter()
     }
+
+    /// The rules in canonical order, by value.
+    pub(crate) fn into_rules(self) -> Vec<Rule> {
+        self.rules
+    }
 }
 
 #[cfg(test)]

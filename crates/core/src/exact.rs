@@ -79,11 +79,11 @@ impl DuquenneGuiguesBasis {
     }
 
     /// Builds the basis from an already-computed list of frequent
-    /// pseudo-closed itemsets (canonical order) — the constructor the
-    /// streaming maintenance uses, where `FP` comes straight off the
-    /// maintained lattice family
-    /// ([`pseudo_closed_of_family`](rulebases_lattice::pseudo_closed_of_family))
-    /// instead of a frequent-itemset walk.
+    /// pseudo-closed itemsets (canonical order) — the constructor
+    /// [`DuquenneGuiguesBasis::build`] ends in, and the one a streaming
+    /// session publishes through: it keeps its `FP`, derived by the same
+    /// [`frequent_pseudo_closed`], and restates the supports between
+    /// membership flips.
     pub fn from_pseudo_closed(pseudo_closed: Vec<PseudoClosed>, n_items: usize) -> Self {
         let mut rules = Vec::with_capacity(pseudo_closed.len());
         let mut implications = ImplicationSet::new(n_items);

@@ -29,16 +29,13 @@
 //!   and the already-indexed `FC` ([`frequent_pseudo_closed`]): closed
 //!   candidates are skipped by hash probe, and only the `|FP|`
 //!   candidates that pass the pseudo-closed test scan `FC` for their
-//!   closure.
+//!   closure. A [`StreamingMiner`](crate::stream::StreamingMiner)
+//!   derives its premises the same way, over its iceberg family.
 //!
-//! The Duquenne-Guigues basis stays driven by `F`, which this pipeline
-//! derives anyway, rather than by the family walk the streaming session
-//! rebuilds it with ([`pseudo_closed_of_family`]). That walk visits every
-//! infrequent pseudo-closed premise of the items in use, and on a sparse
-//! family those outnumber `F` by orders of magnitude: a family of ∅ and
-//! `k` singletons has `k(k−1)/2` of them, and the walk takes seconds at
-//! `k = 50`. The 100,000-row `T10I4D100K` stand-in at minsup 0.01 has
-//! exactly that family, with `k = 473`.
+//! Deriving `F` enumerates every subset of every closed set, so a
+//! frequent closed set of 64 items or more (at least `2^64` frequent
+//! subsets) panics with "closed itemset too large to expand" rather
+//! than running forever.
 //!
 //! The two pipelines are property-tested equal (closed sets, Hasse
 //! edges, both bases) across every engine backend in
@@ -49,7 +46,6 @@
 //! [`ClosedSink`]: rulebases_mining::ClosedSink
 //! [`ClosedItemsets::expand_to_frequent`]: rulebases_mining::ClosedItemsets::expand_to_frequent
 //! [`frequent_pseudo_closed`]: rulebases_lattice::frequent_pseudo_closed
-//! [`pseudo_closed_of_family`]: rulebases_lattice::pseudo_closed_of_family
 //! [`IncrementalLattice`]: rulebases_lattice::IncrementalLattice
 //! [`IcebergLattice::from_closed`]: rulebases_lattice::IcebergLattice::from_closed
 
@@ -58,7 +54,7 @@ use crate::exact::DuquenneGuiguesBasis;
 use crate::miner::{MinedBases, RuleMiner};
 use rulebases_dataset::{Itemset, MinSupport, MiningContext, Support};
 use rulebases_lattice::IncrementalLattice;
-use rulebases_mining::{Apriori, ClosedItemsets, ClosedSink, FrequentItemsets};
+use rulebases_mining::{ClosedItemsets, ClosedSink};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
@@ -211,28 +207,6 @@ impl ClosedSink for LatticeSink {
     }
 }
 
-/// Derives the frequent itemsets from the frequent closed itemsets — the
-/// generating-set property: `F = { X ⊆ C : C ∈ FC }` with
-/// `supp(X) = supp(h(X)) = max { supp(C) : X ⊆ C ∈ FC }`.
-///
-/// Exponential in the widest closed set, exactly like materializing `F`
-/// by mining is; the (practically unreachable) fallback keeps itemsets
-/// wider than the subset-enumeration limit correct rather than fast. It
-/// mines the context `ctx` returns, which is asked for only then.
-pub(crate) fn derive_frequent(
-    closed: &ClosedItemsets,
-    miner: &RuleMiner,
-    ctx: impl FnOnce() -> MiningContext,
-) -> FrequentItemsets {
-    if closed.iter().all(|(s, _)| s.len() < 64) {
-        closed.expand_to_frequent()
-    } else {
-        Apriori::new()
-            .parallelism(miner.parallelism_config())
-            .mine(&ctx(), miner.min_support_config())
-    }
-}
-
 /// Assembles a [`MinedBases`] bundle from a finished lattice (+ its
 /// generator tags): `F` derived from `FC` by the generating-set property,
 /// the DG basis from the derived sets, both Luxenburger bases read off
@@ -259,7 +233,7 @@ pub(crate) fn assemble_bases(
         n,
     );
 
-    let frequent = derive_frequent(&closed, miner, || ctx.clone());
+    let frequent = closed.expand_to_frequent();
     let dg = DuquenneGuiguesBasis::build(&frequent, &closed, ctx.n_items());
     let lux_full = LuxenburgerBasis::full_from_lattice(
         &lattice,
@@ -415,6 +389,18 @@ mod tests {
         assert!(bases.exact_rules().is_empty());
         assert!(bases.approximate_rules().is_empty());
         assert_eq!(bases.lattice.n_nodes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "closed itemset too large to expand")]
+    fn a_closed_set_of_64_items_cannot_be_expanded() {
+        // Two identical 64-item rows: FC is that one row, whose 2^64 − 1
+        // nonempty subsets are all frequent, so deriving F must refuse
+        // rather than enumerate them.
+        let row: Vec<u32> = (0..64).collect();
+        let _ = FusedMiner::new(MinSupport::Count(1)).mine(
+            rulebases_dataset::TransactionDb::from_rows(vec![row.clone(), row]),
+        );
     }
 
     #[test]

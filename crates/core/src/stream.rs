@@ -22,10 +22,21 @@
 //! 3. the maintained bases are **patched from that touched-class set**:
 //!    only a rule whose antecedent/consequent closure classes were
 //!    touched (or crossed the rescaled support threshold) can move, so
-//!    the Duquenne-Guigues and both Luxenburger bases update — and the
-//!    returned [`BasesDelta`] is computed — without materializing and
-//!    diffing full rule snapshots. (The snapshot-diff formulation
-//!    survives as [`BasesDelta::between`], the test oracle.)
+//!    both Luxenburger bases update — and the returned [`BasesDelta`] is
+//!    computed — without materializing and diffing full rule snapshots.
+//!    (The snapshot-diff formulation survives as
+//!    [`BasesDelta::between`], the test oracle.) The Duquenne-Guigues
+//!    premises only restate their supports until a class enters or
+//!    leaves the iceberg; then they are re-derived exactly as the fused
+//!    pipeline derives them, by [`frequent_pseudo_closed`] over the
+//!    iceberg family `FC` and `F`, expanded from it.
+//!
+//! Seeding and restoring a session derive the same state from the
+//! lattice with the fused pipeline's own builders: the Luxenburger bases
+//! of the iceberg snapshot and the premises over `F`. So the session has
+//! one Duquenne-Guigues derivation, the fused pipeline's, and no path of
+//! it — push, seed, restore or [`StreamingMiner::bases`] — builds a
+//! support engine; only [`StreamingMiner::context`] does.
 //!
 //! The returned [`BasesDelta`] says exactly what changed: closed sets
 //! that entered or left the iceberg, and rules added to / removed from /
@@ -85,14 +96,14 @@
 
 use crate::approx::LuxenburgerBasis;
 use crate::exact::DuquenneGuiguesBasis;
-use crate::fused::{derive_frequent, min_count_for, PipelineKind};
+use crate::fused::{min_count_for, PipelineKind};
 use crate::miner::{MinedBases, RuleMiner};
 use crate::rule::Rule;
 use rulebases_dataset::{
     DatasetError, EngineKind, Itemset, MinSupport, MiningContext, Support, TransactionDb,
 };
 use rulebases_lattice::{
-    pseudo_closed_of_family, GenStats, IncrementalLattice, LatticeDelta, PseudoClosed,
+    frequent_pseudo_closed, GenStats, IncrementalLattice, LatticeDelta, PseudoClosed,
 };
 use rulebases_mining::{ClosedAlgorithm, ClosedItemsets};
 use serde::{Deserialize, Serialize};
@@ -284,9 +295,10 @@ type RuleKey = (Itemset, Itemset);
 /// membership per lattice node, the two Luxenburger rule maps, and the
 /// Duquenne-Guigues premises. All of it is a function of the lattice and
 /// the row count: [`MaintainedBases::rebuild`] derives it when a session
-/// is seeded or restored, [`StreamingMiner::push_batch`] patches it in
-/// place from each batch's [`LatticeDelta`], and materializing a
-/// [`MinedBases`] bundle just reads it out. It is never persisted.
+/// is seeded or restored, with the fused pipeline's own builders,
+/// [`StreamingMiner::push_batch`] patches it in place from each batch's
+/// [`LatticeDelta`], and materializing a [`MinedBases`] bundle just reads
+/// it out. It is never persisted.
 #[derive(Debug, Default)]
 struct MaintainedBases {
     /// Absolute support threshold at the current row count.
@@ -410,53 +422,62 @@ impl MaintainedBases {
     /// Derives the whole maintained state from the lattice and the row
     /// count, with zero engine calls — for a seeded session and a
     /// restored one alike (per-batch updates go through
-    /// [`StreamingMiner::patch_bases`] instead).
+    /// [`StreamingMiner::patch_bases`] instead). The two Luxenburger maps
+    /// hold the rules the fused pipeline's builders read off the iceberg
+    /// snapshot, keyed by [`Rule::sort_key`], and the premises come from
+    /// [`MaintainedBases::rebuild_dg`].
     fn rebuild(config: &RuleMiner, n_objects: usize, lattice: &IncrementalLattice) -> Self {
         let minconf = config.min_confidence_config();
-        let include_empty = config.include_empty_antecedent_config();
         let min_count = min_count_for(config.min_support_config(), n_objects);
-        let n = lattice.n_nodes();
-        let in_iceberg: Vec<bool> = (0..n)
+        let in_iceberg = (0..lattice.n_nodes())
             .map(|i| lattice.is_live(i) && lattice.node(i).1 >= min_count)
             .collect();
-        // Both bases reject a pair with an endpoint outside the iceberg,
-        // so only its members are paired.
-        let members: Vec<usize> = (0..n).filter(|&i| in_iceberg[i]).collect();
+        let (iceberg, _) = lattice.snapshot(min_count);
+        let keyed = |basis: LuxenburgerBasis| -> BTreeMap<RuleKey, Rule> {
+            let rules = basis.into_rules().into_iter();
+            rules.map(|rule| (rule.sort_key(), rule)).collect()
+        };
         let mut state = MaintainedBases {
             min_count,
             in_iceberg,
+            // Bottom edges kept, as in the fused bundle's reduced basis.
+            lux_reduced: keyed(LuxenburgerBasis::reduced(&iceberg, minconf, true)),
+            lux_full: keyed(LuxenburgerBasis::full_from_lattice(
+                &iceberg,
+                minconf,
+                config.include_empty_antecedent_config(),
+            )),
             ..MaintainedBases::default()
         };
-        for &i in &members {
-            for &j in lattice.upper_covers(i) {
-                if let Some(rule) = reduced_rule(lattice, &state.in_iceberg, minconf, i, j) {
-                    state.lux_reduced.insert(pair_key(lattice, i, j), rule);
-                }
-            }
-            for &j in &members {
-                if let Some(rule) =
-                    full_rule(lattice, &state.in_iceberg, minconf, include_empty, i, j)
-                {
-                    state.lux_full.insert(pair_key(lattice, i, j), rule);
-                }
-            }
-        }
-        state.rebuild_dg(lattice);
+        state.rebuild_dg(lattice, n_objects);
         state
     }
 
-    /// Recomputes the frequent pseudo-closed sets from the maintained
-    /// iceberg family (no frequent-itemset walk — see
-    /// [`pseudo_closed_of_family`]).
-    fn rebuild_dg(&mut self, lattice: &IncrementalLattice) {
-        let family: Vec<(Itemset, Support)> = (0..lattice.n_nodes())
+    /// The iceberg family `FC` of an `n_objects`-row context: the live
+    /// nodes `in_iceberg` admits, with their supports.
+    fn iceberg_family(&self, lattice: &IncrementalLattice, n_objects: usize) -> ClosedItemsets {
+        let family = (0..lattice.n_nodes())
             .filter(|&i| self.in_iceberg[i])
             .map(|i| {
                 let (set, support) = lattice.node(i);
                 (set.clone(), support)
             })
             .collect();
-        self.dg = pseudo_closed_of_family(&family);
+        ClosedItemsets::from_pairs(family, self.min_count, n_objects)
+    }
+
+    /// Recomputes the frequent pseudo-closed sets as the fused pipeline
+    /// does: [`frequent_pseudo_closed`] over the iceberg family `FC` and
+    /// `F`, derived from it by [`ClosedItemsets::expand_to_frequent`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with "closed itemset too large to expand" if a frequent
+    /// closed set holds 64 items or more (its `F` could never be
+    /// enumerated).
+    fn rebuild_dg(&mut self, lattice: &IncrementalLattice, n_objects: usize) {
+        let fc = self.iceberg_family(lattice, n_objects);
+        self.dg = frequent_pseudo_closed(&fc.expand_to_frequent(), &fc);
         self.dg_nodes = self
             .dg
             .iter()
@@ -574,6 +595,17 @@ impl StreamingMiner {
     ///
     /// An empty batch is a no-op: it returns an empty delta without
     /// advancing the epoch, aging the window, or touching any layer.
+    ///
+    /// # Panics
+    ///
+    /// When the batch moves iceberg membership, the Duquenne-Guigues
+    /// premises are re-derived over `F`, as the fused pipeline derives
+    /// them, and `F` holds every subset of every frequent closed set. A
+    /// batch after which a frequent closed set holds 64 items or more
+    /// (at least `2^64` frequent subsets) therefore panics with "closed
+    /// itemset too large to expand", as a fused mine of the same rows
+    /// does; so does seeding or restoring a session whose iceberg holds
+    /// such a set.
     pub fn push_batch(&mut self, rows: Vec<Vec<u32>>) -> Result<BasesDelta, DatasetError> {
         if rows.is_empty() {
             return Ok(BasesDelta::empty(
@@ -777,7 +809,7 @@ impl StreamingMiner {
         // DG basis. The premises depend only on the iceberg *family* of
         // intents: while no class entered or left, the batch can only
         // restate supports (a pseudo-closed set's support is its closure
-        // class's). When the family moved, recompute the premises from
+        // class's). When the family moved, re-derive the premises over
         // the maintained family and diff the two DG-sized lists.
         let dg = if entered.is_empty() && left.is_empty() {
             let mut restated = 0;
@@ -795,7 +827,7 @@ impl StreamingMiner {
             }
         } else {
             let old_rules: Vec<Rule> = state.dg.iter().map(dg_rule).collect();
-            state.rebuild_dg(lattice);
+            state.rebuild_dg(lattice, self.db.n_transactions());
             let new_rules: Vec<Rule> = state.dg.iter().map(dg_rule).collect();
             // Both lists are DG-sized (the smallest basis), canonically
             // ordered by premise: diffing them IS the delta-sized
@@ -832,17 +864,8 @@ impl StreamingMiner {
         let min_count = self.state.min_count;
         let (lattice, minimal_generators) = self.lattice.snapshot(min_count);
         let n = self.db.n_transactions();
-        let closed = ClosedItemsets::from_pairs(
-            (0..lattice.n_nodes())
-                .map(|i| {
-                    let (s, sup) = lattice.node(i);
-                    (s.clone(), sup)
-                })
-                .collect(),
-            min_count,
-            n,
-        );
-        let frequent = derive_frequent(&closed, &self.config, || self.context());
+        let closed = self.state.iceberg_family(&self.lattice, n);
+        let frequent = closed.expand_to_frequent();
         let dg = DuquenneGuiguesBasis::from_pseudo_closed(self.state.dg.clone(), self.db.n_items());
         let lux_full = LuxenburgerBasis::from_sorted_rules(
             self.state.lux_full.values().cloned().collect(),
@@ -876,7 +899,15 @@ impl StreamingMiner {
     /// grown database would produce. Materialized from the maintained
     /// state on first call after a batch, then cached (which is why this
     /// takes `&mut self`); [`StreamingMiner::push_batch`] itself never
-    /// pays for materialization.
+    /// pays for materialization. Like the fused bundle, it holds `F`,
+    /// derived from the iceberg family, and builds no engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "closed itemset too large to expand" if a frequent
+    /// closed set holds 64 items or more — though the push that admitted
+    /// such a set has already panicked the same way (see
+    /// [`StreamingMiner::push_batch`]).
     pub fn bases(&mut self) -> &MinedBases {
         if self.cached.is_none() {
             self.cached = Some(self.materialize());
@@ -1085,6 +1116,55 @@ mod tests {
         // equal a from-scratch mine of the same rows.
         let oracle = miner.clone().mine(TransactionDb::clone(stream.db()));
         assert_same_bases(stream.bases(), &oracle, "post-compaction");
+    }
+
+    #[test]
+    fn edge_families_derive_the_fused_dg_through_seed_and_push() {
+        // The degenerate iceberg families: each context seeds a session
+        // with none, half or all of its rows and pushes the rest as one
+        // batch, so the premises come from the seed derivation and from
+        // the push's membership flips alike.
+        let rows = |rows: &[&[u32]]| -> Vec<Vec<u32>> { rows.iter().map(|r| r.to_vec()).collect() };
+        let mut cases = vec![
+            // Only the bare ∅ bottom reaches the threshold.
+            ("bare ∅ bottom", rows(&[&[3], &[5]]), 2),
+            // Only the bottom {7}: ∅ is pseudo-closed, with h(∅) = {7}.
+            ("bottom {7}", rows(&[&[7, 40], &[7, 90]]), 2),
+            // The same bottom under a larger family, and a closed
+            // universe member.
+            (
+                "bottom {7} below a universe",
+                rows(&[&[1, 7], &[2, 7], &[1, 2, 7]]),
+                1,
+            ),
+            ("rectangular", vec![vec![0, 1, 2]; 3], 1),
+            // Everything closed, nothing pseudo-closed.
+            ("pairwise disjoint", rows(&[&[0], &[1], &[2]]), 1),
+            // No row holds every item in use (and id 2 is a gap), so the
+            // items in use also have infrequent pseudo-closed sets, which
+            // yield no basis rule.
+            ("infrequent premises", rows(&[&[0, 3], &[0, 4], &[1, 3]]), 1),
+            // An empty family.
+            ("threshold above the rows", rows(&[&[1], &[2]]), 3),
+        ];
+        for count in 1..=5 {
+            cases.push(("paper example", paper_rows(), count));
+        }
+        for (label, rows, count) in cases {
+            let miner = RuleMiner::new(MinSupport::Count(count)).min_confidence(0.3);
+            let oracle = miner
+                .clone()
+                .pipeline(PipelineKind::Fused)
+                .mine(TransactionDb::from_rows(rows.clone()));
+            for split in [0, rows.len() / 2, rows.len()] {
+                let mut stream = miner.streaming(TransactionDb::from_rows(rows[..split].to_vec()));
+                if split < rows.len() {
+                    stream.push_batch(rows[split..].to_vec()).unwrap();
+                }
+                let label = format!("{label} at count {count}, seed of {split} rows");
+                assert_same_bases(stream.bases(), &oracle, &label);
+            }
+        }
     }
 
     #[test]

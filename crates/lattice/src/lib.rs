@@ -47,4 +47,4 @@ pub use incremental::{GenMaintenance, GenStats, IncrementalLattice, LatticeDelta
 pub use lattice::IcebergLattice;
 pub use lattice_stats::LatticeStats;
 pub use next_closure::{next_closed, stem_base, AllClosed, StemBase};
-pub use pseudo::{frequent_pseudo_closed, pseudo_closed_of_family, PseudoClosed};
+pub use pseudo::{frequent_pseudo_closed, PseudoClosed};

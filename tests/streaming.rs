@@ -15,8 +15,11 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rulebases::checkpoint::{write_snapshot, CheckpointedMiner};
 use rulebases::stream::{BasesDelta, RuleSetDelta};
-use rulebases::{MinedBases, PipelineKind, RuleMiner};
+use rulebases::{MinedBases, PipelineKind, RuleMiner, Window};
+use rulebases_bench::datasets::{drifting_census, project_top_items};
+use rulebases_bench::{Scale, StandIn};
 use rulebases_dataset::{EngineKind, MinSupport, MiningContext, TransactionDb};
 
 /// The batch schedules the issue calls out: row-at-a-time, a ragged
@@ -281,4 +284,88 @@ fn push_batch_copies_batch_sized_bytes_regardless_of_prefix() {
     assert_eq!(stream.db().n_items(), 21);
     let addrs_after = stream.db().segment_addrs();
     assert_eq!(&addrs_after[..addrs_before.len()], &addrs_before[..]);
+}
+
+/// Wide vocabularies through the session: the proptests above draw items
+/// from about `0..9`, so these two replays pin the session on the
+/// stand-ins' wide projections, where the iceberg family is sparse and
+/// most pseudo-closed sets of the items in use are infrequent. Each
+/// session is seeded with its first 64 rows, then takes 64-row batches
+/// across the membership flips a rising fractional threshold causes,
+/// unbounded and under a sliding window, and is finally round-tripped
+/// through a checkpoint. After every batch and after recovery, the bases
+/// equal a fused mine of the rows the session holds.
+#[test]
+fn wide_vocabularies_match_fused_across_flips_windows_and_recovery() {
+    const SEED: usize = 64;
+    let inputs = [
+        (
+            "T10I4D100K* top 60",
+            project_top_items(&StandIn::T10I4.generate(Scale::Test), 60),
+            0.01,
+        ),
+        (
+            "DRIFT* top 40",
+            project_top_items(&drifting_census(1_000, 8, 250, 0xD21F7), 40),
+            0.2,
+        ),
+    ];
+    // The final |FC| (∅ excluded) and DG size of each replay, unbounded
+    // and then windowed: what `probe <ds> <minsup> test --stream
+    // --stream-items <k> [--window 256]` prints for the same rows.
+    let finals = [[(64, 0), (68, 0)], [(36, 1), (113, 15)]];
+    for ((label, rows, minsup), finals) in inputs.into_iter().zip(finals) {
+        for (window, expected) in [Window::Unbounded, Window::Sliding(256)]
+            .into_iter()
+            .zip(finals)
+        {
+            let label = format!("{label} under {window:?}");
+            let miner = RuleMiner::new(MinSupport::Fraction(minsup)).min_confidence(0.5);
+            let fused = miner.clone().pipeline(PipelineKind::Fused);
+            let held = |end: usize| {
+                let start = match window {
+                    Window::Sliding(n) => end.saturating_sub(n),
+                    _ => 0,
+                };
+                TransactionDb::from_rows(rows[start..end].to_vec())
+            };
+            let mut stream = miner
+                .streaming(TransactionDb::from_rows(rows[..SEED].to_vec()))
+                .window(window);
+            let (mut end, mut flips) = (SEED, 0);
+            for chunk in rows[SEED..].chunks(64) {
+                let delta = stream.push_batch(chunk.to_vec()).unwrap();
+                end += chunk.len();
+                flips +=
+                    usize::from(!delta.closed_added.is_empty() || !delta.closed_removed.is_empty());
+                assert_stream_matches_oracle(
+                    stream.bases(),
+                    &fused.mine(held(end)),
+                    &format!("{label}, {end} rows"),
+                );
+            }
+            assert!(flips > 0, "{label}: no batch moved iceberg membership");
+            let bases = stream.bases();
+            assert_eq!(
+                (bases.n_closed_nonempty(), bases.dg.len()),
+                expected,
+                "{label}: final |FC| and DG size"
+            );
+
+            let dir = std::env::temp_dir().join(format!(
+                "rulebases-streaming-wide-{}-{}",
+                std::process::id(),
+                label.replace(|c: char| !c.is_ascii_alphanumeric(), "-")
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            write_snapshot(&stream, &dir).unwrap();
+            let (mut recovered, _) = CheckpointedMiner::recover(&dir).unwrap();
+            assert_stream_matches_oracle(
+                recovered.bases(),
+                &fused.mine(held(end)),
+                &format!("{label}, recovered"),
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 }
