@@ -1,5 +1,5 @@
-//! E7 ablation as a Criterion benchmark: the Galois closure primitive and
-//! the two Hasse-diagram construction algorithms.
+//! E7 as a Criterion benchmark: the Galois closure primitive and the
+//! pairwise Hasse-diagram construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rulebases_bench::{Scale, StandIn};
@@ -32,7 +32,7 @@ fn bench_closure(c: &mut Criterion) {
             b.iter(|| black_box(ctx.closure(&probe)))
         });
 
-        // Hasse construction, both algorithms.
+        // Hasse construction.
         let fc = Close::new().mine_closed(&ctx, MinSupport::Fraction(dataset.default_minsup()));
         group.bench_function(
             BenchmarkId::new(
@@ -41,17 +41,6 @@ fn bench_closure(c: &mut Criterion) {
             ),
             |b| b.iter(|| black_box(IcebergLattice::from_closed(&fc))),
         );
-        // The closure-based variant is orders slower on the sparse sets
-        // (it pays |FC|·|I| closures) — bench only the dense ones.
-        if dataset.is_dense() {
-            group.bench_function(
-                BenchmarkId::new(
-                    "hasse-closure",
-                    format!("{}|FC|={}", dataset.name(), fc.len()),
-                ),
-                |b| b.iter(|| black_box(IcebergLattice::from_context(&fc, &ctx))),
-            );
-        }
     }
     group.finish();
 }

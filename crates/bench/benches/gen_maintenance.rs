@@ -12,11 +12,14 @@
 //!   that the per-batch deltas sum to the session's lifetime counters.
 //! * **`wide_flat` ablation** — the pathological wide-universe replay
 //!   whose top class accumulates one equal-support lower cover per
-//!   item, replayed through a raw `IncrementalLattice` once per
-//!   maintenance mode. The oracle mode re-derives the ever-larger pair
-//!   generator set from the full complement family on every arrival
-//!   (super-linear); the local mode pays one constraint step. Both must
-//!   produce identical tags on every live node.
+//!   item, replayed through a raw `IncrementalLattice`, whose local
+//!   rules pay one constraint step per arrival. The oracle leg replays
+//!   it again and, after each insertion, re-derives every created node
+//!   and its upper covers (the nodes whose lower covers the insertion
+//!   changed) from the full complement family through the counted
+//!   transversal oracle — the ever-larger pair generator set on every
+//!   arrival (super-linear). Both legs must end with identical tags on
+//!   every live node.
 //!
 //! The headline numbers are written to `BENCH_gen.json` at the
 //! workspace root (the committed copy is the `bench-gate` baseline:
@@ -26,11 +29,12 @@
 //! `BENCH_history.jsonl`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rulebases::{GenMaintenance, GenStats, MinSupport, RuleMiner, Window};
+use rulebases::{GenStats, MinSupport, RuleMiner, Window};
 use rulebases_bench::{append_bench_history, drifting_census, wide_flat, write_bench_artifact};
 use rulebases_dataset::{Itemset, TransactionDb};
 use rulebases_lattice::IncrementalLattice;
 use serde::Serialize;
+use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -73,17 +77,46 @@ fn replay_drift_windowed(rows: &[Vec<u32>]) -> GenStats {
     lifetime
 }
 
-/// Replays `wide_flat(WIDE)` object by object through a raw lattice in
-/// the given maintenance mode, returning the work counters.
-fn replay_wide(mode: GenMaintenance) -> (IncrementalLattice, GenStats) {
+/// The `wide_flat(WIDE)` rows, in replay order.
+fn wide_rows() -> Vec<Itemset> {
     let db = wide_flat(WIDE);
+    (0..db.n_transactions())
+        .map(|t| Itemset::from_sorted(db.transaction(t).to_vec()))
+        .collect()
+}
+
+/// Replays the `wide_flat` rows object by object through a raw lattice,
+/// returning it with its local-rule work counters.
+fn replay_wide(rows: &[Itemset]) -> (IncrementalLattice, GenStats) {
     let mut inc = IncrementalLattice::new();
-    inc.set_generator_maintenance(mode);
-    for t in 0..db.n_transactions() {
-        inc.insert_object(&Itemset::from_sorted(db.transaction(t).to_vec()));
+    for row in rows {
+        inc.insert_object(row);
     }
     let stats = inc.gen_stats();
     (inc, stats)
+}
+
+/// The oracle leg: the same replay, re-deriving after each insertion
+/// every created node and its upper covers through the counted
+/// transversal oracle. Returns each slot's last oracle-derived tags and
+/// the oracle's work counters alone.
+fn replay_wide_oracle(rows: &[Itemset]) -> (Vec<Vec<Itemset>>, GenStats) {
+    let mut inc = IncrementalLattice::new();
+    let mut tags: Vec<Vec<Itemset>> = Vec::new();
+    let mut stats = GenStats::default();
+    for row in rows {
+        let delta = inc.insert_object_delta(row);
+        let mut visit: BTreeSet<usize> = BTreeSet::new();
+        for &id in &delta.created {
+            visit.insert(id);
+            visit.extend(inc.upper_covers(id).iter().copied());
+        }
+        tags.resize(inc.n_nodes(), Vec::new());
+        for id in visit {
+            tags[id] = inc.oracle_generators_counted(id, &mut stats);
+        }
+    }
+    (tags, stats)
 }
 
 /// The machine-readable record `BENCH_gen.json` holds.
@@ -106,7 +139,8 @@ struct GenBenchRecord {
     local_subsumption_checks: u64,
     /// Zero by construction — the local rules never fall back.
     local_transversal_fallbacks: u64,
-    /// The oracle leg's per-node recomputations (one per dirty node).
+    /// The oracle leg's per-node recomputations (one per created node
+    /// and upper cover of each insertion).
     oracle_transversal_fallbacks: u64,
     local_wall_us: f64,
     oracle_wall_us: f64,
@@ -122,17 +156,12 @@ fn bench_gen_maintenance(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
+    let wide = wide_rows();
     group.bench_function(BenchmarkId::new("wide-flat", "local"), |b| {
-        b.iter(|| black_box(replay_wide(GenMaintenance::Local).1.candidates))
+        b.iter(|| black_box(replay_wide(&wide).1.candidates))
     });
     group.bench_function(BenchmarkId::new("wide-flat", "transversal-oracle"), |b| {
-        b.iter(|| {
-            black_box(
-                replay_wide(GenMaintenance::TransversalOracle)
-                    .1
-                    .transversal_fallbacks,
-            )
-        })
+        b.iter(|| black_box(replay_wide_oracle(&wide).1.transversal_fallbacks))
     });
     group.finish();
 
@@ -145,22 +174,21 @@ fn bench_gen_maintenance(c: &mut Criterion) {
     assert!(stream_stats.candidates > 0 && stream_stats.subsumption_checks > 0);
 
     let start = Instant::now();
-    let (local_lattice, local) = replay_wide(GenMaintenance::Local);
+    let (local_lattice, local) = replay_wide(&wide);
     let local_wall_us = start.elapsed().as_secs_f64() * 1e6;
     let start = Instant::now();
-    let (oracle_lattice, oracle) = replay_wide(GenMaintenance::TransversalOracle);
+    let (oracle_tags, oracle) = replay_wide_oracle(&wide);
     let oracle_wall_us = start.elapsed().as_secs_f64() * 1e6;
 
-    // The ablation is only meaningful if both modes maintain the same
+    // The ablation is only meaningful if both legs arrive at the same
     // tags — check every live node, not just the top class.
-    assert_eq!(local_lattice.n_nodes(), oracle_lattice.n_nodes());
-    for id in 0..local_lattice.n_nodes() {
-        assert_eq!(local_lattice.is_live(id), oracle_lattice.is_live(id));
+    assert_eq!(local_lattice.n_nodes(), oracle_tags.len());
+    for (id, tags) in oracle_tags.iter().enumerate() {
         if local_lattice.is_live(id) {
             assert_eq!(
                 local_lattice.generator_tags(id),
-                oracle_lattice.generator_tags(id),
-                "mode divergence at node {id}"
+                tags,
+                "leg divergence at node {id}"
             );
         }
     }

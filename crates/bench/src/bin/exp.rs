@@ -138,7 +138,7 @@ fn main() -> ExitCode {
         ran = true;
     }
     if run_all || which == "fig3" {
-        banner("E7 / ablation — Hasse construction & transitive reduction");
+        banner("E7 — Hasse construction & transitive reduction");
         println!("{}", tables::fig3_header());
         for row in tables::fig3(scale) {
             println!("{row}");

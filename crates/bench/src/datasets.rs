@@ -232,13 +232,14 @@ pub fn drifting_census(
 /// row plus its own) — so each of its lower-cover complements has
 /// `width − 1` items and its minimal-generator set is all `C(width, 2)`
 /// pairs. Retagging that class from scratch as the minimal transversals
-/// of the whole complement family (the pre-maintenance behavior, kept
-/// as [`GenMaintenance::TransversalOracle`]) re-derives the ever-larger
-/// pair set on *every* singleton arrival — visibly super-linear —
-/// while the local one-item extension rule pays only for the one new
-/// constraint per step. Deterministic by construction (no randomness).
+/// of the whole complement family (the retained oracle,
+/// [`IncrementalLattice::oracle_generators_of`]) re-derives the
+/// ever-larger pair set on *every* singleton arrival — visibly
+/// super-linear — while the local one-item extension rule pays only for
+/// the one new constraint per step. Deterministic by construction (no
+/// randomness).
 ///
-/// [`GenMaintenance::TransversalOracle`]: rulebases_lattice::GenMaintenance::TransversalOracle
+/// [`IncrementalLattice::oracle_generators_of`]: rulebases_lattice::IncrementalLattice::oracle_generators_of
 ///
 /// # Panics
 ///

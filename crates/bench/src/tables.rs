@@ -367,7 +367,8 @@ pub fn fig2_header() -> String {
     )
 }
 
-/// E7 / ablation — Hasse-diagram construction and transitive reduction.
+/// E7 — Hasse-diagram construction (pairwise, the one construction of
+/// a closed family) and transitive reduction.
 pub struct Fig3Row {
     /// Dataset name.
     pub dataset: &'static str,
@@ -379,21 +380,18 @@ pub struct Fig3Row {
     pub n_edges: usize,
     /// Pairwise construction time.
     pub by_pairs: Duration,
-    /// Closure-based construction time.
-    pub by_closure: Duration,
 }
 
 impl fmt::Display for Fig3Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:<14} {:>8} {:>9} {:>8} {:>11} {:>12}",
+            "{:<14} {:>8} {:>9} {:>8} {:>11}",
             self.dataset,
             self.n_closed,
             self.n_pairs,
             self.n_edges,
-            fmt_ms(self.by_pairs),
-            fmt_ms(self.by_closure)
+            fmt_ms(self.by_pairs)
         )
     }
 }
@@ -406,14 +404,12 @@ pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
         let threshold = MinSupport::Fraction(d.default_minsup());
         let fc = Close::new().mine_closed(&ctx, threshold);
         let (lattice, by_pairs) = crate::timing::time_once(|| IcebergLattice::from_closed(&fc));
-        let (_, by_closure) = crate::timing::time_once(|| IcebergLattice::from_context(&fc, &ctx));
         rows.push(Fig3Row {
             dataset: d.name(),
             n_closed: lattice.n_nodes(),
             n_pairs: lattice.comparable_pairs().len(),
             n_edges: lattice.n_edges(),
             by_pairs,
-            by_closure,
         });
     }
     rows
@@ -422,8 +418,8 @@ pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
 /// Header for E7.
 pub fn fig3_header() -> String {
     format!(
-        "{:<14} {:>8} {:>9} {:>8} {:>11} {:>12}",
-        "dataset", "|FC|", "pairs", "edges", "pairs ms", "closure ms"
+        "{:<14} {:>8} {:>9} {:>8} {:>11}",
+        "dataset", "|FC|", "pairs", "edges", "pairs ms"
     )
 }
 

@@ -1,18 +1,20 @@
 //! The fused one-pass pipeline.
 //!
 //! The staged pipeline ([`RuleMiner`] with [`PipelineKind::Staged`])
-//! walks the closed-set lattice three times: the miner materializes `FC`,
-//! [`IcebergLattice::from_closed`] rebuilds the Hasse diagram from
-//! scratch with a pairwise pass, and the frequent itemsets are re-mined
+//! mines `FC`, builds the Hasse diagram with
+//! [`IcebergLattice::from_closed`], and re-mines the frequent itemsets
 //! from the database by Apriori before the bases are derived.
-//! [`FusedMiner`] collapses those traversals into the mining pass itself,
-//! the construction Hamrouni et al. and Vo & Le describe for extracting
-//! generic bases *during* closed-set discovery:
+//! [`FusedMiner`] reads every product off the one mining pass instead:
 //!
 //! * as Close / A-Close / CHARM prove each closed set, it streams through
-//!   a [`ClosedSink`] into an [`IncrementalLattice`] that maintains the
-//!   covering relation (and the minimal-generator tags the levelwise
-//!   miners carry for free) insertion by insertion — no post-hoc rebuild;
+//!   a [`ClosedSink`] that collects the emissions and, per closed set,
+//!   the minimal generators the levelwise miners prove for free (kept
+//!   subsumption-minimal as they arrive). `FC` is built once from them,
+//!   and its diagram with the staged pipeline's pairwise
+//!   [`IcebergLattice::from_closed`]: on the stand-in families that
+//!   costs less than maintaining the covering relation insertion by
+//!   insertion during the traversal (the construction Hamrouni et al.
+//!   describe);
 //! * the frequent itemsets are *derived* from `FC` by the generating-set
 //!   property of the paper's Definition 1 (every frequent itemset is a
 //!   subset of a frequent closed itemset and takes its closure's
@@ -46,16 +48,15 @@
 //! [`ClosedSink`]: rulebases_mining::ClosedSink
 //! [`ClosedItemsets::expand_to_frequent`]: rulebases_mining::ClosedItemsets::expand_to_frequent
 //! [`frequent_pseudo_closed`]: rulebases_lattice::frequent_pseudo_closed
-//! [`IncrementalLattice`]: rulebases_lattice::IncrementalLattice
-//! [`IcebergLattice::from_closed`]: rulebases_lattice::IcebergLattice::from_closed
 
 use crate::approx::LuxenburgerBasis;
 use crate::exact::DuquenneGuiguesBasis;
 use crate::miner::{MinedBases, RuleMiner};
 use rulebases_dataset::{Itemset, MinSupport, MiningContext, Support};
-use rulebases_lattice::IncrementalLattice;
+use rulebases_lattice::IcebergLattice;
 use rulebases_mining::{ClosedItemsets, ClosedSink};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -69,8 +70,8 @@ pub enum PipelineKind {
     /// pairwise, re-mine `F` with Apriori, then derive the bases.
     #[default]
     Staged,
-    /// The one-pass path: lattice and generator tags built during the
-    /// mining traversal, `F` derived from `FC`, bases read off the
+    /// The one-pass path: `FC` and the generator tags collected during
+    /// the mining traversal, `F` derived from `FC`, bases read off the
     /// lattice.
     Fused,
 }
@@ -193,46 +194,74 @@ impl FusedMiner {
     }
 }
 
-/// The sink the fused traversal mines into: every emission goes straight
-/// into the incremental Hasse builder (which also dedups re-emissions and
-/// keeps the generator tags minimal).
+/// The sink the fused traversal mines into: every `(set, support)`
+/// emission, duplicates included (conflicting supports panic when `FC`
+/// is built), and per closed set the miner-proven generators, kept
+/// subsumption-minimal as they arrive.
 #[derive(Default)]
-struct LatticeSink {
-    lattice: IncrementalLattice,
+struct TaggedClosedSink {
+    pairs: Vec<(Itemset, Support)>,
+    generators: HashMap<Itemset, Vec<Itemset>>,
 }
 
-impl ClosedSink for LatticeSink {
-    fn accept(&mut self, set: &Itemset, support: Support, generator: Option<&Itemset>) {
-        self.lattice.insert(set, support, generator);
+impl TaggedClosedSink {
+    /// `FC` at `min_count` over `n_objects` rows, and aligned with its
+    /// canonical order (the lattice's node order) each set's sorted
+    /// generator tags — empty for a set the miner never tagged.
+    fn finish(
+        mut self,
+        min_count: Support,
+        n_objects: usize,
+    ) -> (ClosedItemsets, Vec<Vec<Itemset>>) {
+        let closed = ClosedItemsets::from_pairs(self.pairs, min_count, n_objects);
+        let tags = closed
+            .iter()
+            .map(|(set, _)| {
+                let mut tags = self.generators.remove(set).unwrap_or_default();
+                tags.sort();
+                tags
+            })
+            .collect();
+        (closed, tags)
     }
 }
 
-/// Assembles a [`MinedBases`] bundle from a finished lattice (+ its
-/// generator tags): `F` derived from `FC` by the generating-set property,
-/// the DG basis from the derived sets, both Luxenburger bases read off
-/// the lattice. The tail of the fused pipeline only: a
+impl ClosedSink for TaggedClosedSink {
+    fn accept(&mut self, set: &Itemset, support: Support, generator: Option<&Itemset>) {
+        self.pairs.push((set.clone(), support));
+        let Some(g) = generator else {
+            return;
+        };
+        // A tag containing a recorded one is not minimal; a new tag
+        // drops the recorded ones it lies inside.
+        match self.generators.get_mut(set) {
+            Some(tags) if tags.iter().any(|t| t.is_subset_of(g)) => {}
+            Some(tags) => {
+                tags.retain(|t| !g.is_subset_of(t));
+                tags.push(g.clone());
+            }
+            None => {
+                self.generators.insert(set.clone(), vec![g.clone()]);
+            }
+        }
+    }
+}
+
+/// Assembles a [`MinedBases`] bundle from `FC` (+ its generator tags, in
+/// `FC`'s order): the Hasse diagram built pairwise from `FC`, `F`
+/// derived from `FC` by the generating-set property, the DG basis from
+/// the derived sets, both Luxenburger bases read off the lattice. The
+/// tail of the fused pipeline only: a
 /// [`StreamingMiner`](crate::stream::StreamingMiner) batch patches its
 /// maintained bases instead, and its materialization reads those
 /// patched maps.
 pub(crate) fn assemble_bases(
     miner: &RuleMiner,
     ctx: &MiningContext,
-    lattice: rulebases_lattice::IcebergLattice,
+    closed: ClosedItemsets,
     minimal_generators: Vec<Vec<Itemset>>,
-    min_count: Support,
 ) -> MinedBases {
-    let n = ctx.n_objects();
-    let closed = ClosedItemsets::from_pairs(
-        (0..lattice.n_nodes())
-            .map(|i| {
-                let (s, sup) = lattice.node(i);
-                (s.clone(), sup)
-            })
-            .collect(),
-        min_count,
-        n,
-    );
-
+    let lattice = IcebergLattice::from_closed(&closed);
     let frequent = closed.expand_to_frequent();
     let dg = DuquenneGuiguesBasis::build(&frequent, &closed, ctx.n_items());
     let lux_full = LuxenburgerBasis::full_from_lattice(
@@ -245,8 +274,8 @@ pub(crate) fn assemble_bases(
     let lux_reduced = LuxenburgerBasis::reduced(&lattice, miner.min_confidence_config(), true);
 
     MinedBases {
-        min_count,
-        n_objects: n,
+        min_count: closed.min_count,
+        n_objects: closed.n_objects,
         min_support: miner.min_support_config(),
         min_confidence: miner.min_confidence_config(),
         include_empty_antecedent: miner.include_empty_antecedent_config(),
@@ -272,21 +301,21 @@ pub(crate) fn min_count_for(minsup: MinSupport, n: usize) -> Support {
 }
 
 /// Runs the fused pipeline for `miner` over `ctx`: one mining traversal
-/// feeding the incremental lattice, then every product read off it.
+/// collecting `FC` and its generator tags, then every product derived
+/// from them.
 pub(crate) fn mine_bases(miner: &RuleMiner, ctx: &MiningContext) -> MinedBases {
     let min_count = min_count_for(miner.min_support_config(), ctx.n_objects());
 
-    let mut sink = LatticeSink::default();
+    let mut sink = TaggedClosedSink::default();
     let stats = miner.algorithm_config().mine_sink_par(
         ctx.engine(),
         miner.min_support_config(),
         miner.parallelism_config(),
         &mut sink,
     );
-    let (lattice, minimal_generators) = sink.lattice.finish();
-    let mut bases = assemble_bases(miner, ctx, lattice, minimal_generators, min_count);
-    bases.closed.stats = stats;
-    bases
+    let (mut closed, minimal_generators) = sink.finish(min_count, ctx.n_objects());
+    closed.stats = stats;
+    assemble_bases(miner, ctx, closed, minimal_generators)
 }
 
 #[cfg(test)]
@@ -378,6 +407,64 @@ mod tests {
         // Staged runs carry no tags.
         let staged = RuleMiner::new(MinSupport::Count(2)).mine_context(&ctx);
         assert!(staged.minimal_generators.is_none());
+    }
+
+    #[test]
+    fn generator_tags_stay_minimal_and_aligned() {
+        // The paper example's FC at count 2 (A=1, B=2, C=3, E=5), with
+        // duplicate emissions, a larger generator before and after a
+        // smaller one of its class, and untagged emissions: both
+        // emission orders give the same FC, diagram and tags, and only
+        // minimal generators survive.
+        let set = |ids: &[u32]| Itemset::from_ids(ids.iter().copied());
+        let emissions: Vec<(Itemset, Support, Option<Itemset>)> = vec![
+            (set(&[]), 5, None),
+            (set(&[3]), 4, Some(set(&[3]))),
+            (set(&[3]), 4, None),
+            (set(&[2, 5]), 4, Some(set(&[2, 5]))),
+            (set(&[2, 5]), 4, Some(set(&[2]))),
+            (set(&[2, 5]), 4, Some(set(&[5]))),
+            (set(&[2, 5]), 4, Some(set(&[2]))),
+            (set(&[1, 3]), 3, Some(set(&[1]))),
+            (set(&[1, 3]), 3, Some(set(&[1, 3]))),
+            (set(&[2, 3, 5]), 3, Some(set(&[2, 3]))),
+            (set(&[2, 3, 5]), 3, Some(set(&[3, 5]))),
+            (set(&[1, 2, 3, 5]), 2, Some(set(&[1, 2, 3]))),
+            (set(&[1, 2, 3, 5]), 2, Some(set(&[1, 2]))),
+            (set(&[1, 2, 3, 5]), 2, Some(set(&[1, 5]))),
+        ];
+        let collect = |order: &mut dyn Iterator<Item = &(Itemset, Support, Option<Itemset>)>| {
+            let mut sink = TaggedClosedSink::default();
+            for (closed, support, generator) in order {
+                sink.accept(closed, *support, generator.as_ref());
+            }
+            let (closed, tags) = sink.finish(2, 5);
+            let lattice = IcebergLattice::from_closed(&closed);
+            (closed.into_sorted_vec(), lattice, tags)
+        };
+        let (closed, lattice, tags) = collect(&mut emissions.iter());
+        let (closed_rev, lattice_rev, tags_rev) = collect(&mut emissions.iter().rev());
+        assert_eq!(closed, closed_rev);
+        assert_eq!(
+            lattice.edges().collect::<Vec<_>>(),
+            lattice_rev.edges().collect::<Vec<_>>()
+        );
+        assert_eq!(tags, tags_rev);
+
+        let mined = MiningContext::new(paper_example());
+        let reference = RuleMiner::new(MinSupport::Count(2)).mine_context(&mined);
+        assert_eq!(closed, reference.closed.into_sorted_vec());
+        assert_eq!(
+            lattice.edges().collect::<Vec<_>>(),
+            reference.lattice.edges().collect::<Vec<_>>()
+        );
+        let tags_of = |ids: &[u32]| &tags[lattice.position(&set(ids)).unwrap()];
+        assert!(tags_of(&[]).is_empty());
+        assert_eq!(tags_of(&[3]), &[set(&[3])]);
+        assert_eq!(tags_of(&[2, 5]), &[set(&[2]), set(&[5])]);
+        assert_eq!(tags_of(&[1, 3]), &[set(&[1])]);
+        assert_eq!(tags_of(&[2, 3, 5]), &[set(&[2, 3]), set(&[3, 5])]);
+        assert_eq!(tags_of(&[1, 2, 3, 5]), &[set(&[1, 2]), set(&[1, 5])]);
     }
 
     #[test]

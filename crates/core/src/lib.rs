@@ -93,5 +93,5 @@ pub use stream::{BasesDelta, RuleSetDelta, StreamingMiner, Window};
 
 // Re-export the substrate crates and the most common types.
 pub use rulebases_dataset::{self as dataset, MinSupport, MiningContext, TransactionDb};
-pub use rulebases_lattice::{self as lattice, GenMaintenance, GenStats, IcebergLattice};
+pub use rulebases_lattice::{self as lattice, GenStats, IcebergLattice};
 pub use rulebases_mining::{self as mining, ClosedAlgorithm};

@@ -204,8 +204,8 @@ impl RuleMiner {
         let closed =
             self.algorithm
                 .mine_engine_par(ctx.engine(), self.min_support, self.parallelism);
-        // Pairwise Hasse construction wins at every measured scale (E7
-        // ablation): closure-based covers pay |FC|·|I| closure scans.
+        // The one Hasse construction of a closed family, shared with the
+        // fused pipeline.
         let lattice = IcebergLattice::from_closed(&closed);
         let dg = DuquenneGuiguesBasis::build(&frequent, &closed, ctx.n_items());
         let lux_full =

@@ -987,9 +987,16 @@ impl StreamingMiner {
     /// restore performs zero support-engine calls.
     ///
     /// Fails with a reason, rather than panicking later, on a
-    /// configuration or TTL ledger no session can hold — the last line
+    /// configuration or TTL ledger no session can hold, or on a lattice
+    /// that is not the closure system of the rows held — the last line
     /// of defense behind the checkpoint frame's checksum (the lattice
-    /// checks its own encoding as it is deserialized).
+    /// checks its own encoding as it is deserialized). The lattice check
+    /// is two necessary conditions every session meets, in
+    /// O(rows + slots): every row held is a live intent (rows are
+    /// closed), and the largest live support is the row count (the
+    /// bottom class `h(∅)` holds every row; no live node when no row is
+    /// held). It does not recount the other supports, which would take a
+    /// replay of the rows.
     pub(crate) fn from_wire(wire: SessionWire) -> Result<StreamingMiner, String> {
         if let MinSupport::Fraction(f) = wire.min_support {
             if !(0.0..=1.0).contains(&f) {
@@ -1011,6 +1018,23 @@ impl StreamingMiner {
             return Err(format!(
                 "TTL ledger of {} batches does not account for the {n} rows held",
                 wire.batch_sizes.len()
+            ));
+        }
+        let lattice = &wire.lattice;
+        if let Some(t) = (0..n).find(|&t| {
+            let row = Itemset::from_sorted(wire.db.transaction(t).to_vec());
+            lattice.position(&row).is_none()
+        }) {
+            return Err(format!("row {t} is not a closed set of the lattice"));
+        }
+        let top = (0..lattice.n_nodes())
+            .filter(|&id| lattice.is_live(id))
+            .map(|id| lattice.node(id).1)
+            .max();
+        if top != (n > 0).then_some(n as Support) {
+            return Err(format!(
+                "the lattice's largest support {} is not the {n} rows held",
+                top.unwrap_or(0)
             ));
         }
         let config = RuleMiner::new(wire.min_support)

@@ -1,16 +1,16 @@
 //! Hasse-diagram (covering relation) construction.
 //!
 //! The transitive reduction of the frequent-closed-itemset order is what
-//! Theorem 2 reduces the Luxenburger basis to. Two algorithms are
-//! provided and benchmarked against each other (ablation E7):
-//!
-//! * [`upper_covers_by_pairs`] — works from the closed sets alone,
-//!   comparing each set against its supersets in size order;
-//! * [`upper_covers_by_closure`] — uses the context: the upper covers of a
-//!   closed `X` are the minimal elements of `{h(X ∪ {i}) : i ∉ X}`.
+//! Theorem 2 reduces the Luxenburger basis to. A closed family has one
+//! construction, [`upper_covers_by_pairs`], which works from the sets
+//! alone and serves both pipelines through
+//! [`IcebergLattice::from_closed`](crate::IcebergLattice::from_closed);
+//! a streaming session's diagram is maintained by
+//! [`IncrementalLattice`](crate::IncrementalLattice) instead.
+//! [`verify_covers`] is the reference both are tested against: it checks
+//! a covering relation against the subset order directly.
 
-use rulebases_dataset::{Item, Itemset, MiningContext, Support};
-use rulebases_mining::ClosedItemsets;
+use rulebases_dataset::{Itemset, Support};
 
 /// Computes, for each closed set, the indices of its **upper covers**
 /// (immediate successors in the subset order) from the sets alone.
@@ -18,6 +18,8 @@ use rulebases_mining::ClosedItemsets;
 /// `sets` must be in canonical order (size, then lexicographic), as
 /// produced by [`ClosedItemsets::iter`]. Runs in `O(n² · w)` where `w`
 /// is the itemset width — fine up to tens of thousands of closed sets.
+///
+/// [`ClosedItemsets::iter`]: rulebases_mining::ClosedItemsets::iter
 pub fn upper_covers_by_pairs(sets: &[(Itemset, Support)]) -> Vec<Vec<usize>> {
     debug_assert!(sets.windows(2).all(|w| w[0].0 < w[1].0), "not canonical");
     let n = sets.len();
@@ -36,52 +38,6 @@ pub fn upper_covers_by_pairs(sets: &[(Itemset, Support)]) -> Vec<Vec<usize>> {
                 covers.push(j);
             }
         }
-    }
-    upper
-}
-
-/// Computes upper covers using the mining context: for each closed `X`,
-/// the covers are the minimal sets among `{h(X ∪ {i}) : i ∉ X}` that are
-/// still frequent (present in `fc`).
-///
-/// Much faster than the pairwise algorithm when the item universe is small
-/// relative to `|FC|²`.
-pub fn upper_covers_by_closure(fc: &ClosedItemsets, ctx: &MiningContext) -> Vec<Vec<usize>> {
-    let mut upper = vec![Vec::new(); fc.len()];
-    for (i, (x, _)) in fc.iter().enumerate() {
-        // Candidate successors: closures of one-item extensions.
-        let mut candidates: Vec<usize> = Vec::new();
-        for item in 0..ctx.n_items() as u32 {
-            let it = Item::new(item);
-            if x.contains(it) {
-                continue;
-            }
-            let closure = ctx.closure(&x.with(it));
-            if let Some(j) = fc.position(&closure) {
-                if j != i && !candidates.contains(&j) {
-                    candidates.push(j);
-                }
-            }
-        }
-        // Keep the minimal candidates.
-        let minimal: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|&j| {
-                let (y, _) = fc.get(j);
-                !candidates.iter().any(|&k| {
-                    k != j && {
-                        let (z, _) = fc.get(k);
-                        z.is_proper_subset_of(y)
-                    }
-                })
-            })
-            .collect();
-        upper[i] = minimal;
-    }
-    // Canonical edge order for deterministic output.
-    for covers in &mut upper {
-        covers.sort_unstable();
     }
     upper
 }
@@ -135,13 +91,12 @@ pub fn verify_covers(sets: &[(Itemset, Support)], upper: &[Vec<usize>]) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rulebases_dataset::{paper_example, MinSupport};
-    use rulebases_mining::{Close, ClosedMiner};
+    use rulebases_dataset::{paper_example, MinSupport, MiningContext};
+    use rulebases_mining::{Close, ClosedItemsets, ClosedMiner};
 
-    fn paper_fc() -> (MiningContext, ClosedItemsets) {
+    fn paper_fc() -> ClosedItemsets {
         let ctx = MiningContext::new(paper_example());
-        let fc = Close::new().mine_closed(&ctx, MinSupport::Count(2));
-        (ctx, fc)
+        Close::new().mine_closed(&ctx, MinSupport::Count(2))
     }
 
     fn set(ids: &[u32]) -> Itemset {
@@ -150,7 +105,7 @@ mod tests {
 
     #[test]
     fn pairs_algorithm_on_paper_example() {
-        let (_, fc) = paper_fc();
+        let fc = paper_fc();
         let sets: Vec<_> = fc.iter().map(|(s, sup)| (s.clone(), sup)).collect();
         let upper = upper_covers_by_pairs(&sets);
         verify_covers(&sets, &upper).unwrap();
@@ -165,26 +120,6 @@ mod tests {
         assert_eq!(upper[idx(&[1, 3])], vec![idx(&[1, 2, 3, 5])]);
         assert_eq!(upper[idx(&[2, 3, 5])], vec![idx(&[1, 2, 3, 5])]);
         assert!(upper[idx(&[1, 2, 3, 5])].is_empty());
-    }
-
-    #[test]
-    fn closure_algorithm_matches_pairs() {
-        let (ctx, fc) = paper_fc();
-        let sets: Vec<_> = fc.iter().map(|(s, sup)| (s.clone(), sup)).collect();
-        let by_pairs = upper_covers_by_pairs(&sets);
-        let by_closure = upper_covers_by_closure(&fc, &ctx);
-        assert_eq!(by_pairs, by_closure);
-    }
-
-    #[test]
-    fn closure_algorithm_at_minsup_one() {
-        let ctx = MiningContext::new(paper_example());
-        let fc = Close::new().mine_closed(&ctx, MinSupport::Count(1));
-        let sets: Vec<_> = fc.iter().map(|(s, sup)| (s.clone(), sup)).collect();
-        let by_pairs = upper_covers_by_pairs(&sets);
-        let by_closure = upper_covers_by_closure(&fc, &ctx);
-        assert_eq!(by_pairs, by_closure);
-        verify_covers(&sets, &by_pairs).unwrap();
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //! relation (Hasse diagram). The *transitive reduction* of the Luxenburger
 //! basis (Theorem 2) is exactly the edge set of this diagram, and
 //! confidence derivation for approximate rules telescopes along its paths.
+//!
+//! It is built one way from a closed family,
+//! [`IcebergLattice::from_closed`] (both pipelines), and one way from a
+//! maintained diagram,
+//! [`IncrementalLattice::snapshot`](crate::IncrementalLattice::snapshot)
+//! (streaming sessions).
 
-use crate::hasse::{upper_covers_by_closure, upper_covers_by_pairs};
-use rulebases_dataset::{Itemset, MiningContext, Support};
+use crate::hasse::upper_covers_by_pairs;
+use rulebases_dataset::{Itemset, Support};
 use rulebases_mining::ClosedItemsets;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -25,27 +31,18 @@ pub struct IcebergLattice {
 
 impl IcebergLattice {
     /// Builds the lattice from the closed sets alone (pairwise cover
-    /// computation).
+    /// computation), with its nodes in `fc`'s canonical order.
     pub fn from_closed(fc: &ClosedItemsets) -> Self {
         let nodes: Vec<_> = fc.iter().map(|(s, sup)| (s.clone(), sup)).collect();
         let upper = upper_covers_by_pairs(&nodes);
         Self::assemble(nodes, upper)
     }
 
-    /// Builds the lattice using the context for cover computation
-    /// (closures of one-item extensions). Pays `|FC| · |I|` closure
-    /// computations — the E7 ablation shows [`IcebergLattice::from_closed`]
-    /// is faster at every measured scale; this variant remains as the
-    /// independent cross-check.
-    pub fn from_context(fc: &ClosedItemsets, ctx: &MiningContext) -> Self {
-        let nodes: Vec<_> = fc.iter().map(|(s, sup)| (s.clone(), sup)).collect();
-        let upper = upper_covers_by_closure(fc, ctx);
-        Self::assemble(nodes, upper)
-    }
-
     /// Assembles a lattice from canonically ordered nodes and their upper
-    /// covers (shared with the incremental builder, which re-sorts its
-    /// insertion-order nodes before calling in).
+    /// covers (shared with [`IncrementalLattice::snapshot`], which
+    /// re-sorts its arrival-order nodes before calling in).
+    ///
+    /// [`IncrementalLattice::snapshot`]: crate::IncrementalLattice::snapshot
     pub(crate) fn assemble(nodes: Vec<(Itemset, Support)>, upper: Vec<Vec<usize>>) -> Self {
         let mut lower = vec![Vec::new(); nodes.len()];
         for (i, covers) in upper.iter().enumerate() {
@@ -205,7 +202,7 @@ impl IcebergLattice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rulebases_dataset::{paper_example, MinSupport};
+    use rulebases_dataset::{paper_example, MinSupport, MiningContext};
     use rulebases_mining::{Close, ClosedMiner};
 
     fn lattice() -> IcebergLattice {
@@ -245,18 +242,6 @@ mod tests {
         assert!(!l.reachable(be, ac));
         assert!(!l.reachable(abce, c));
         assert!(l.reachable(c, c));
-    }
-
-    #[test]
-    fn from_context_agrees() {
-        let ctx = MiningContext::new(paper_example());
-        let fc = Close::new().mine_closed(&ctx, MinSupport::Count(2));
-        let a = IcebergLattice::from_closed(&fc);
-        let b = IcebergLattice::from_context(&fc, &ctx);
-        assert_eq!(a.n_nodes(), b.n_nodes());
-        let ea: Vec<_> = a.edges().collect();
-        let eb: Vec<_> = b.edges().collect();
-        assert_eq!(ea, eb);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod pseudo;
 pub use closure_op::ClosureOperator;
 pub use dot::to_dot;
 pub use implications::{Implication, ImplicationSet};
-pub use incremental::{GenMaintenance, GenStats, IncrementalLattice, LatticeDelta};
+pub use incremental::{GenStats, IncrementalLattice, LatticeDelta};
 pub use lattice::IcebergLattice;
 pub use lattice_stats::LatticeStats;
 pub use next_closure::{next_closed, stem_base, AllClosed, StemBase};

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use rulebases_dataset::{Itemset, MinSupport, MiningContext, TransactionDb};
 use rulebases_lattice::hasse::verify_covers;
 use rulebases_lattice::{
-    frequent_pseudo_closed, next_closed, stem_base, AllClosed, ClosureOperator, GenMaintenance,
-    IcebergLattice, Implication, ImplicationSet, IncrementalLattice,
+    frequent_pseudo_closed, next_closed, stem_base, AllClosed, ClosureOperator, IcebergLattice,
+    Implication, ImplicationSet, IncrementalLattice,
 };
 use rulebases_mining::brute::{brute_closed, brute_frequent};
 use std::collections::VecDeque;
@@ -174,13 +174,6 @@ proptest! {
             .map(|i| lattice.upper_covers(i).to_vec())
             .collect();
         prop_assert!(verify_covers(&nodes, &upper).is_ok());
-
-        // Both construction algorithms agree.
-        let via_ctx = IcebergLattice::from_context(&fc, &ctx);
-        prop_assert_eq!(
-            lattice.edges().collect::<Vec<_>>(),
-            via_ctx.edges().collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -262,24 +255,19 @@ proptest! {
     ) {
         // Any interleaving of object inserts and removals: after every
         // step the locally maintained tags must equal the from-scratch
-        // transversal oracle class-for-class, the retained
-        // TransversalOracle mode must agree slot-for-slot, and the
-        // local rules must never have fallen back.
+        // transversal oracle class-for-class, and the local rules must
+        // never have fallen back.
         let rows: Vec<Itemset> = (0..db.n_transactions())
             .map(|t| Itemset::from_sorted(db.transaction(t).to_vec()))
             .collect();
         let mut local = IncrementalLattice::new();
-        let mut oracle = IncrementalLattice::new();
-        oracle.set_generator_maintenance(GenMaintenance::TransversalOracle);
         let mut in_window: VecDeque<Itemset> = VecDeque::new();
         for (i, row) in rows.iter().enumerate() {
             local.insert_object(row);
-            oracle.insert_object(row);
             in_window.push_back(row.clone());
             if interleave.get(i) == Some(&1) && in_window.len() > 1 {
                 let victim = in_window.pop_front().unwrap();
                 local.remove_object(&victim);
-                oracle.remove_object(&victim);
             }
             for id in 0..local.n_nodes() {
                 if local.is_live(id) {
@@ -291,20 +279,6 @@ proptest! {
                 }
             }
         }
-        // Both modes evolved the same structure and the same tags.
-        prop_assert_eq!(local.n_nodes(), oracle.n_nodes());
-        for id in 0..local.n_nodes() {
-            prop_assert_eq!(local.is_live(id), oracle.is_live(id));
-            if local.is_live(id) {
-                prop_assert_eq!(
-                    local.generator_tags(id).to_vec(),
-                    oracle.generator_tags(id).to_vec()
-                );
-            }
-        }
         prop_assert_eq!(local.gen_stats().transversal_fallbacks, 0);
-        if local.gen_stats().candidates > 0 {
-            prop_assert!(oracle.gen_stats().transversal_fallbacks > 0);
-        }
     }
 }

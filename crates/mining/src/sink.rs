@@ -6,8 +6,9 @@
 //! same lattice. [`ClosedSink`] decouples *discovery* from *collection*:
 //! every closed miner can push each `(closed set, support)` it proves
 //! into a sink as it is found, so a consumer (e.g. the fused pipeline's
-//! incremental Hasse builder) processes the lattice during the single
-//! mining traversal instead of re-walking it afterwards.
+//! collector of `FC` and its generators) gathers everything it needs
+//! during the single mining traversal instead of re-walking it
+//! afterwards.
 //!
 //! Contract:
 //!
@@ -23,10 +24,10 @@
 //!   closed set (a minimal itemset with the same closure) when the
 //!   traversal has one at hand — the levelwise miners work generator-wise
 //!   and tag for free, CHARM's IT-tree does not and passes `None`.
-//!   Downstream, these miner-proven generators seed the incremental
-//!   lattice's per-class tag sets directly (subsumption-minimal
-//!   recording, no recomputation), so the fused pipeline never derives
-//!   a generator the miner already proved.
+//!   Downstream, the fused pipeline's sink records these miner-proven
+//!   generators per closed set (subsumption-minimal recording, no
+//!   recomputation), so it never derives a generator the miner already
+//!   proved.
 
 use crate::itemsets::ClosedItemsets;
 use rulebases_dataset::{Itemset, Support};

@@ -761,6 +761,118 @@ fn a_lattice_whose_cover_has_more_support_is_rejected_with_a_typed_reason() {
     );
 }
 
+/// The `lattice` entry of a session wire form.
+fn lattice_value(wire: &str) -> serde::Value {
+    let value = serde_json::parse(wire).unwrap();
+    let fields = value.as_object().unwrap();
+    serde::get_field(fields, "lattice").unwrap().clone()
+}
+
+/// `wire` with its `lattice` entry replaced by `lattice`.
+fn with_lattice(wire: &str, lattice: &serde::Value) -> String {
+    let serde::Value::Object(mut fields) = serde_json::parse(wire).unwrap() else {
+        panic!("a wire form is an object");
+    };
+    for (key, value) in &mut fields {
+        if key == "lattice" {
+            *value = lattice.clone();
+        }
+    }
+    serde_json::to_string(&serde::Value::Object(fields)).unwrap()
+}
+
+#[test]
+fn a_lattice_that_does_not_hold_the_rows_is_rejected_with_a_typed_reason() {
+    // An 8-row checkpoint whose lattice is spliced from another session
+    // over related rows, re-framed with a correct length and checksum:
+    // each splice passes the lattice's own validation, so only the check
+    // against the rows stands between it and a session whose bases and
+    // window expiries silently disagree with its rows.
+    let rows = census_rows(8);
+    let config = RuleMiner::new(MinSupport::Count(1)).min_confidence(0.5);
+    let lattice_of = |rows: Vec<Vec<u32>>| {
+        lattice_value(&wire_of(&config.streaming(TransactionDb::from_rows(rows))))
+    };
+    let twice: Vec<Vec<u32>> = rows
+        .iter()
+        .flat_map(|row| [row.clone(), row.clone()])
+        .collect();
+    let splices = [
+        (
+            "last 4 rows",
+            lattice_of(rows[4..].to_vec()),
+            "row 0 is not a closed set",
+        ),
+        (
+            "first 4 rows",
+            lattice_of(rows[..4].to_vec()),
+            "row 4 is not a closed set",
+        ),
+        (
+            "8 copies of row 0",
+            lattice_of(vec![rows[0].clone(); 8]),
+            "row 1 is not a closed set",
+        ),
+        (
+            "each row twice",
+            lattice_of(twice),
+            "largest support 16 is not the 8 rows",
+        ),
+    ];
+    for (label, lattice, reason) in splices {
+        let dir = TempDir::new("splice");
+        let (ckpt, _) = config
+            .checkpointing(TransactionDb::from_rows(rows.clone()), dir.path())
+            .unwrap();
+        let path = dir
+            .path()
+            .join(format!("checkpoint-{:06}.ckpt", ckpt.generation()));
+        drop(ckpt);
+        let payload = read_payload(&path);
+        let spliced = with_lattice(&payload, &lattice);
+        assert_ne!(spliced, payload, "{label}");
+        reframe(&path, &spliced);
+
+        let rejected = expect_no_checkpoint(dir.path());
+        assert_eq!(rejected.len(), 1, "{label}: {rejected:?}");
+        assert!(
+            rejected[0].contains("corrupt payload") && rejected[0].contains(reason),
+            "{label}: {}",
+            rejected[0]
+        );
+    }
+}
+
+#[test]
+fn a_checkpoint_whose_lattice_names_a_maintenance_mode_still_restores() {
+    // Checkpoints written before the lattice kept a single generator
+    // maintenance carry `"gen_mode":"Local"` in their lattice: restore
+    // ignores it, and the session re-renders 19 bytes shorter.
+    let dir = TempDir::new("gen-mode");
+    let rows = census_rows(12);
+    let config = RuleMiner::new(MinSupport::Count(2)).min_confidence(0.5);
+    let (mut ckpt, _) = config
+        .checkpointing(TransactionDb::from_rows(rows[..8].to_vec()), dir.path())
+        .unwrap();
+    ckpt.push_batch(rows[8..].to_vec()).unwrap();
+    let mut twin = config.streaming(TransactionDb::from_rows(rows[..8].to_vec()));
+    twin.push_batch(rows[8..].to_vec()).unwrap();
+    let path = dir
+        .path()
+        .join(format!("checkpoint-{:06}.ckpt", ckpt.generation()));
+    drop(ckpt);
+    let payload = read_payload(&path);
+    assert_eq!(payload.matches(r#","stats":{"#).count(), 1, "{payload}");
+    let old = payload.replacen(r#","stats":{"#, r#","gen_mode":"Local","stats":{"#, 1);
+    assert_eq!(old.len(), payload.len() + 19);
+    reframe(&path, &old);
+
+    let (mut miner, report) = CheckpointedMiner::recover(dir.path()).unwrap();
+    assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+    assert_eq!(wire_of(miner.session()), wire_of(&twin));
+    assert_same_bases(miner.bases(), twin.bases(), "gen_mode");
+}
+
 /// Flips one payload bit of checkpoint generation `seq` in `dir`, which
 /// the checksum always catches.
 fn corrupt_checkpoint(dir: &Path, seq: u64) {
