@@ -1275,6 +1275,79 @@ mod tests {
     }
 
     #[test]
+    fn generator_tags_stay_minimal_and_aligned() {
+        // The paper example (A=1, B=2, C=3, D=4, E=5) with every row
+        // held twice, replayed in both orders: the snapshot's tags line
+        // up with its nodes and with the slots' own tags, and each list
+        // is the sorted antichain of its class's minimal generators.
+        // Peeling one copy of each row off kills no class (every
+        // distinct row is still held), so no tag moves.
+        let check = |inc: &IncrementalLattice| {
+            let (lattice, tags) = inc.snapshot(1);
+            assert_eq!(tags.len(), lattice.n_nodes());
+            for id in (0..inc.n_nodes()).filter(|&id| inc.is_live(id)) {
+                let node = lattice.position(inc.node(id).0).unwrap();
+                assert_eq!(tags[node], inc.generator_tags(id), "slot {id}");
+            }
+            for list in &tags {
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "{list:?}");
+                for g in list {
+                    assert_eq!(list.iter().filter(|t| t.is_subset_of(g)).count(), 1);
+                }
+            }
+            let tags_of = |ids: &[u32]| &tags[lattice.position(&set(ids)).unwrap()];
+            assert_eq!(lattice.n_nodes(), 7);
+            assert_eq!(tags_of(&[]), &[Itemset::empty()]);
+            assert_eq!(tags_of(&[3]), &[set(&[3])]);
+            assert_eq!(tags_of(&[2, 5]), &[set(&[2]), set(&[5])]);
+            assert_eq!(tags_of(&[1, 3]), &[set(&[1])]);
+            assert_eq!(tags_of(&[2, 3, 5]), &[set(&[2, 3]), set(&[3, 5])]);
+            assert_eq!(tags_of(&[1, 3, 4]), &[set(&[4])]);
+            assert_eq!(tags_of(&[1, 2, 3, 5]), &[set(&[1, 2]), set(&[1, 5])]);
+        };
+        let rows = paper_rows();
+        for reverse in [false, true] {
+            let mut doubled: Vec<&Itemset> = rows.iter().chain(&rows).collect();
+            if reverse {
+                doubled.reverse();
+            }
+            let mut inc = IncrementalLattice::new();
+            for row in doubled {
+                inc.insert_object(row);
+            }
+            check(&inc);
+            for row in &rows {
+                let delta = inc.remove_object_delta(row);
+                assert!(delta.removed.is_empty() && delta.retagged.is_empty());
+            }
+            check(&inc);
+        }
+    }
+
+    #[test]
+    fn tag_replaces_subsumed_larger_generator() {
+        // Rows abc, a, bc: {a,b,c} is generated by ab and ac, and a
+        // closes to its own class. Removing the bare `a` row merges {a}
+        // into {a,b,c}, and the donated tag a replaces both larger
+        // resident tags; ∅ merges into {b,c} and replaces b and c alike.
+        let mut inc = IncrementalLattice::new();
+        for row in [set(&[1, 2, 3]), set(&[1]), set(&[2, 3])] {
+            inc.insert_object(&row);
+        }
+        let abc = inc.position(&set(&[1, 2, 3])).unwrap();
+        let bc = inc.position(&set(&[2, 3])).unwrap();
+        assert_eq!(inc.generator_tags(abc), &[set(&[1, 2]), set(&[1, 3])]);
+        assert_eq!(inc.generator_tags(bc), &[set(&[2]), set(&[3])]);
+        let delta = inc.remove_object_delta(&set(&[1]));
+        assert_eq!(delta.retagged, vec![bc.min(abc), bc.max(abc)]);
+        assert_eq!(inc.generator_tags(abc), &[set(&[1])]);
+        assert_eq!(inc.generator_tags(bc), &[Itemset::empty()]);
+        for id in [abc, bc] {
+            assert_eq!(inc.generator_tags(id), inc.oracle_generators_of(id));
+        }
+    }
+
+    #[test]
     fn insert_object_delta_reports_touched_classes() {
         let mut inc = IncrementalLattice::new();
         // First object: only its own intent is created, nothing bumped.
